@@ -135,6 +135,11 @@ def cmd_forward(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     t0 = time.perf_counter()
+    out = Path(args.out)
+    svg = out.with_suffix(".svg")
+    if args.svg and svg == out:
+        raise ValueError(f"--svg would write its plot over --out {out}; "
+                         "give the CSV another suffix")
     coil = _load_coil(args.coil)
     plate = load_plate_config(args.plate)
     freqs = _resolve_freqs(args)
@@ -143,11 +148,9 @@ def cmd_sensitivity(args) -> int:
     for name in PARAM_NAMES:
         for freq, frac, re, im in sensitivity_spectrum(coil, plate, name, fractions, freqs):
             rows.append((freq, name, frac, re, im))
-    out = Path(args.out)
     write_sensitivity_csv(out, rows)
     outputs = [out]
     if args.svg:
-        svg = out.with_suffix(".svg")
         _plot_sensitivity(rows, svg)
         outputs.append(svg)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -170,9 +173,8 @@ _PARTS = (("Re", 3, ""), ("Im", 4, ' stroke-dasharray="6,4"'))
 
 
 def _span(values) -> tuple[float, float]:
-    """(lo, hi) of the finite values, widened where needed so that hi > lo."""
-    finite = [v for v in values if math.isfinite(v)]
-    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    """(lo, hi) of the values, widened where needed so that hi > lo."""
+    lo, hi = min(values), max(values)
     if hi > lo:
         return lo, hi
     pad = 0.5 * abs(lo) or 1.0
@@ -185,8 +187,6 @@ def _plot_sensitivity(rows, svg_path: Path):
     One panel per parameter, with Re (solid) and Im (dashed) against log
     frequency for each perturbation fraction.  Written directly as SVG,
     with fixed number formatting, so a rerun gives the same bytes.
-    Non-finite sensitivities (a parameter whose reference value is zero)
-    are left out of the lines.
     """
     fractions = sorted({r[2] for r in rows})
     out = [
@@ -231,14 +231,12 @@ def _plot_sensitivity(rows, svg_path: Path):
             color = _COLORS[i % len(_COLORS)]
             pts = [r for r in sel if r[2] == frac]
             for _, col, dash in _PARTS:
-                xy = [f"{px(r[0]):.2f},{py(r[col]):.2f}" for r in pts
-                      if math.isfinite(r[col])]
+                xy = [f"{px(r[0]):.2f},{py(r[col]):.2f}" for r in pts]
                 if len(xy) == 1:
                     xy *= 2  # a zero-length line, drawn as a dot by the round cap
-                if xy:
-                    out.append(f'<polyline points="{" ".join(xy)}" fill="none" '
-                               f'stroke="{color}" stroke-width="1.5" '
-                               f'stroke-linecap="round"{dash}/>')
+                out.append(f'<polyline points="{" ".join(xy)}" fill="none" '
+                           f'stroke="{color}" stroke-width="1.5" '
+                           f'stroke-linecap="round"{dash}/>')
         out.append("</g>")
     # Legend in the first panel, one solid/dashed pair per fraction.
     for i, frac in enumerate(fractions):
@@ -291,9 +289,6 @@ def _resolve_inversion_config(args) -> InversionConfig:
         step_tol=cfg.step_tol,
         residual_tol=cfg.residual_tol,
         rank_threshold=args.rank_tau if args.rank_tau is not None else cfg.rank_threshold,
-        jacobian_fraction=(
-            args.fd_fraction if args.fd_fraction is not None else cfg.jacobian_fraction
-        ),
         damping=cfg.damping,
         bounds=cfg.bounds,
     )
@@ -309,7 +304,6 @@ def _config_dict(cfg: InversionConfig) -> dict:
         "step_tol": cfg.step_tol,
         "residual_tol": cfg.residual_tol,
         "rank_tau": cfg.rank_threshold,
-        "fd_fraction": cfg.jacobian_fraction,
         "damping": cfg.damping,
     }
 
@@ -488,7 +482,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-liftoff-mm", type=float, help="initial lift-off, mm")
     p.add_argument("--max-iter", type=int, help="iteration cap")
     p.add_argument("--rank-tau", type=float, help="dynamic rank threshold")
-    p.add_argument("--fd-fraction", type=float, help="finite-difference fraction")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("report", help="run the standard benchmark cases")

@@ -90,8 +90,8 @@ def _parse_float(text: str, what: str, row: int) -> float:
         value = float(text)
     except ValueError:
         raise SpectrumFormatError(f"cannot parse {what} from {text!r}", row) from None
-    if math.isnan(value):
-        raise SpectrumFormatError(f"{what} is NaN", row)
+    if not math.isfinite(value):
+        raise SpectrumFormatError(f"{what} is not finite ({text!r})", row)
     return value
 
 
@@ -270,7 +270,6 @@ _INVERSION_KEYS = (
     "step_tol",
     "residual_tol",
     "rank_tau",
-    "fd_fraction",
     "damping",
     "sigma_min_msm",
     "sigma_max_msm",
@@ -330,7 +329,6 @@ def load_inversion_config(path) -> InversionConfig:
         step_tol=_kv_float(kv, "step_tol", base.step_tol),
         residual_tol=_kv_float(kv, "residual_tol", base.residual_tol),
         rank_threshold=_kv_float(kv, "rank_tau", base.rank_threshold),
-        jacobian_fraction=_kv_float(kv, "fd_fraction", base.jacobian_fraction),
         damping=damping,
         bounds=bounds,
     )

@@ -13,9 +13,12 @@ inductance change of the pair relative to free space is a single integral
 where P is the radial coil integral (see specfun), A collects the axial
 exponentials of the two windings, phi is the plate reflection
 coefficient, and K is a purely geometric constant.  phi is the only
-factor that knows about the plate or the frequency, so the grid, P cache
-and A factor are all reusable across a whole spectrum and across solver
-iterations.
+factor that knows about the frequency, and A the only other one that
+knows about the plate (through l alone), so K * w * P^2 / alpha^6 on the
+quadrature nodes is cached once per coil, A is evaluated once per
+spectrum, and each frequency costs one pass over the nodes.  The same
+pass can also return the exact derivatives of dL with respect to the four
+plate parameters, which is what the solver uses as its Jacobian.
 
 Sign conventions follow the physics: a ferromagnetic plate at low
 frequency raises the inductance (Re dL > 0), a good conductor at high
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import QuadratureGrid, build_grid, p_integral
+from .specfun import build_grid, p_integral
 
 __all__ = [
     "MU0",
@@ -203,40 +206,33 @@ def alpha1(alpha, omega: float, sigma: float, mu_r: float):
     return complex(out[0]) if scalar else out
 
 
-# Magnitude of 2*alpha1*t beyond which exp(2*alpha1*t) would overflow a
-# double; switch to the form divided through by that exponential.
-_PHI_OVERFLOW = 700.0
+def _reflection(a, omega: float, plate: PlateParams):
+    """alpha1, u, v, E, D and phi on the nodes ``a``: the one place the
+    reflection coefficient's formula lives (see ``phi``)."""
+    a1 = alpha1(a, omega, plate.sigma, plate.mu_r)
+    ma = plate.mu_r * a
+    u = ma + a1
+    v = ma - a1
+    e = np.exp(-2.0 * plate.t * a1)
+    d = u * u - v * v * e
+    return a1, u, v, e, d, u * v * (1.0 - e) / d
 
 
 def phi(alpha, omega: float, plate: PlateParams):
     """Reflection coefficient of the plate at spatial frequency alpha.
 
-    With u = mu_r*alpha + alpha1 and v = mu_r*alpha - alpha1,
+    With u = mu_r*alpha + alpha1, v = mu_r*alpha - alpha1 and
+    E = exp(-2 alpha1 t),
 
-        phi = u v (e^{2 alpha1 t} - 1) / (u^2 e^{2 alpha1 t} - v^2).
+        phi = u v (1 - E) / (u^2 - v^2 E).
 
-    Limits: t -> 0 gives 0 (no plate), t -> inf gives the half-space value
-    v/u, and sigma -> 0 with mu_r = 1 gives 0 (plate indistinguishable
-    from air).  |phi| <= 1 for all passive plates.  Where 2|alpha1|t
-    would overflow the exponential the equivalent form with e^{-2 alpha1 t}
-    is used instead.
+    Re(alpha1) > 0 and t >= 0 give |E| <= 1, so the form cannot overflow
+    for any plate.  Limits: t -> 0 gives 0 (no plate), t -> inf gives the
+    half-space value v/u, and sigma -> 0 with mu_r = 1 gives 0 (plate
+    indistinguishable from air).  |phi| <= 1 for all passive plates.
     """
     a, scalar = _as_alpha_array(alpha)
-    a1 = alpha1(a, omega, plate.sigma, plate.mu_r)
-    u = plate.mu_r * a + a1
-    v = plate.mu_r * a - a1
-    z = 2.0 * a1 * plate.t
-    out = np.empty(a.shape, dtype=complex)
-    big = np.abs(z) > _PHI_OVERFLOW
-    if np.any(big):
-        em = np.exp(-z[big])
-        ub, vb = u[big], v[big]
-        out[big] = ub * vb * (1.0 - em) / (ub * ub - vb * vb * em)
-    ok = ~big
-    if np.any(ok):
-        ep = np.exp(z[ok])
-        uo, vo = u[ok], v[ok]
-        out[ok] = uo * vo * (ep - 1.0) / (uo * uo * ep - vo * vo)
+    out = _reflection(a, omega, plate)[-1]
     return complex(out[0]) if scalar else out
 
 
@@ -269,40 +265,71 @@ def truncation_alpha_max(coil: CoilGeometry) -> float:
 
 @lru_cache(maxsize=16)
 def coil_grid(coil: CoilGeometry, n_nodes: int = DEFAULT_N_NODES):
-    """Quadrature grid plus P(alpha) cache for a coil, built once per coil.
+    """Quadrature nodes and coil weights, built once per coil.
 
-    P depends only on alpha and the winding radii, so the cache is shared
-    by every frequency and every plate evaluated with this coil.
+    Returns (nodes, weights) with weights = K * w * P(alpha)^2 / alpha^6:
+    everything in the integrand that depends only on the coil, so the
+    cache is shared by every frequency and every plate evaluated with
+    this coil.
     """
     grid = build_grid(truncation_alpha_max(coil), n_nodes)
-    p = np.array([p_integral(a, coil.r1, coil.r2) for a in grid.nodes])
-    p.flags.writeable = False
-    return grid, p
+    a = grid.nodes
+    p = np.array([p_integral(x, coil.r1, coil.r2) for x in a])
+    weights = coil_constant(coil) * grid.weights * p**2 / a**6
+    weights.flags.writeable = False
+    return a, weights
 
 
 def delta_l(
-    coil: CoilGeometry,
     plate: PlateParams,
     freq: float,
-    grid: QuadratureGrid,
-    p_cache: np.ndarray,
-) -> complex:
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    jacobian: bool = False,
+):
     """Inductance change of the gradiometer pair at a single frequency.
 
-    ``p_cache`` must hold P(alpha) evaluated on ``grid.nodes``.
+    ``weights`` must be the coil weights of ``coil_grid`` times
+    ``a_factor(nodes, coil, plate.l)``, the plate's axial factor.
+    With ``jacobian`` the return value is (dL, grad), grad being the
+    complex 4-vector d(dL)/d(sigma, mu_r, t, l), from the same kernel
+    values and in closed form:
+
+        with N = u v (1 - E) and D = u^2 - v^2 E,
+        dphi/du = (v (1 - E) D - 2 u N) / D^2
+        dphi/dv = (u (1 - E) D + 2 v E N) / D^2
+        dphi/dE = u v (v^2 - u^2) / D^2
+        dalpha1/dk^2 = j / (2 alpha1),  k^2 = omega sigma mu_r mu0
+        dE/dt = -2 alpha1 E,  dA/dl = -2 alpha A,  du/dmu_r = dv/dmu_r = alpha
     """
     if freq <= 0.0:
         raise ValueError(f"frequency must be positive, got {freq}")
-    if p_cache.shape != grid.nodes.shape:
-        raise ValueError("p_cache is not aligned with the quadrature grid")
-    a = grid.nodes
-    kern = (
-        p_cache**2
-        / a**6
-        * a_factor(a, coil, plate.l)
-        * phi(a, 2.0 * math.pi * freq, plate)
-    )
-    return complex(coil_constant(coil) * grid.integrate(kern))
+    if weights.shape != nodes.shape:
+        raise ValueError("weights are not aligned with the quadrature nodes")
+    omega = 2.0 * math.pi * freq
+    a1, u, v, e, d, ph = _reflection(nodes, omega, plate)
+    if not jacobian:
+        return complex(weights @ ph)
+    one_e = 1.0 - e
+    phi_u = (v * one_e - 2.0 * u * ph) / d
+    phi_v = (u * one_e + 2.0 * v * e * ph) / d
+    phi_e = u * v * (v * v - u * u) / (d * d)
+    de_da1 = -2.0 * plate.t * e  # dE/dalpha1
+    # dphi/dk^2 through alpha1, which u, v and E all contain
+    phi_k2 = (phi_u - phi_v + phi_e * de_da1) * (0.5j / a1)
+    sums = np.stack([
+        phi_k2,
+        (phi_u + phi_v) * nodes,
+        phi_e * (-2.0 * a1 * e),
+        nodes * ph,
+    ]) @ weights
+    grad = np.array([
+        sums[0] * omega * plate.mu_r * MU0,
+        sums[1] + sums[0] * omega * plate.sigma * MU0,
+        sums[2],
+        -2.0 * sums[3],
+    ])
+    return complex(weights @ ph), grad
 
 
 def delta_l_spectrum(
@@ -310,12 +337,25 @@ def delta_l_spectrum(
     plate: PlateParams,
     freqs,
     n_nodes: int = DEFAULT_N_NODES,
-) -> InductanceSpectrum:
-    """Inductance-change spectrum over a frequency grid (one delta_l per point)."""
-    grid, p_cache = coil_grid(coil, n_nodes)
+    jacobian: bool = False,
+):
+    """Inductance-change spectrum over a frequency grid (one delta_l per point).
+
+    With ``jacobian`` the return value is (spectrum, entries): entries is
+    the exact (2m, 4) Jacobian of ``spectrum.stacked`` with respect to
+    (sigma, mu_r, t, l), from the same pass over the kernel.
+    """
+    nodes, coil_weights = coil_grid(coil, n_nodes)
+    weights = coil_weights * a_factor(nodes, coil, plate.l)
     f = np.asarray(freqs, dtype=float)
-    values = np.array([delta_l(coil, plate, fk, grid, p_cache) for fk in f])
-    return InductanceSpectrum(freqs=f, values=values)
+    if not jacobian:
+        values = np.array([delta_l(plate, fk, nodes, weights) for fk in f], dtype=complex)
+        return InductanceSpectrum(freqs=f, values=values)
+    pairs = [delta_l(plate, fk, nodes, weights, jacobian=True) for fk in f]
+    values = np.array([v for v, _ in pairs], dtype=complex)
+    grads = np.array([g for _, g in pairs], dtype=complex).reshape(f.size, 4)
+    spectrum = InductanceSpectrum(freqs=f, values=values)
+    return spectrum, np.concatenate([grads.real, grads.imag])
 
 
 def impedance_to_inductance(z: complex, z_air: complex, freq: float) -> complex:

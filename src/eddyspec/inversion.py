@@ -2,8 +2,9 @@
 
 The observation vector stacks the real parts of the measured spectrum on
 top of the imaginary parts, and the misfit is the plain half sum of
-squares against the forward model.  Each iteration rebuilds the
-finite-difference Jacobian at the current iterate, rescales its columns
+squares against the forward model.  Each iteration takes the exact
+Jacobian at the current iterate from the forward model's own kernel pass
+(``delta_l_spectrum(..., jacobian=True)``), rescales its columns
 by the current parameter values (so the solve happens in relative,
 dimensionless steps), masks out any column the data cannot see, and
 then halves the proposed step until the misfit actually drops.  Masked
@@ -48,7 +49,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .forward import CoilGeometry, InductanceSpectrum, PlateParams, delta_l_spectrum
-from .sensitivity import JacobianMatrix, jacobian
+from .sensitivity import JacobianMatrix
 
 __all__ = [
     "ParamBounds",
@@ -138,11 +139,6 @@ class InversionConfig:
     step_tol: float = 1e-6  # on the relative (scaled) step norm
     residual_tol: float = 1e-9  # on the relative misfit decrease
     rank_threshold: float = 1e-6  # column drop level, relative to max column
-    # Forward-difference step, relative.  Kept small: a coarse difference
-    # step biases the Jacobian enough to park the iteration at a false
-    # fixed point percents away from the optimum (the ridge direction
-    # amplifies the bias), while 1e-4 leaves ~9 significant digits.
-    jacobian_fraction: float = 1e-4
     damping: int = 20  # max step halvings per iteration
     bounds: ParamBounds = field(default_factory=ParamBounds)
 
@@ -153,8 +149,6 @@ class InversionConfig:
             raise ValueError("tolerances must be positive")
         if self.rank_threshold <= 0.0:
             raise ValueError("rank_threshold must be positive")
-        if not 0.0 < self.jacobian_fraction <= 0.5:
-            raise ValueError("jacobian_fraction must lie in (0, 0.5]")
         if self.damping < 0:
             raise ValueError("damping must be nonnegative")
         if not self.bounds.contains(self.init):
@@ -247,15 +241,15 @@ def gauss_newton_step(
 def _ridge_refine(coil, freqs, observed, start, u, sv, vt, n_stiff, keep, bounds):
     """Bounded 1-D misfit search along the ridge direction.
 
-    ``start`` is (params, model, misfit) for the current best point; the
+    ``start`` is (params, misfit) for the current best point; the
     singular system is the frozen one from this iteration's Jacobian.
     Candidates move multiplicatively, p_i -> p_i * exp(s * v_i), along
     the smallest singular direction, and each is pulled back onto the
     ridge floor by a few truncated stiff corrections before its misfit
-    is read.  Returns an improved (params, model, misfit) or ``start``
+    is read.  Returns an improved (params, misfit) or ``start``
     unchanged; never accepts an increase, so caller monotonicity holds.
     """
-    start_p, _, start_misfit = start
+    start_p, start_misfit = start
     base = start_p.as_array()
     lo = bounds.lower()
     hi = bounds.upper()
@@ -295,16 +289,16 @@ def _ridge_refine(coil, freqs, observed, start, u, sv, vt, n_stiff, keep, bounds
         if s not in cache:
             q = settle(np.minimum(np.maximum(base * np.exp(s * direction), lo), hi))
             spec = delta_l_spectrum(coil, PlateParams.from_array(q), freqs)
-            cache[s] = (objective(observed, spec), q, spec)
+            cache[s] = (objective(observed, spec), q)
         return cache[s][0]
 
     res = minimize_scalar(
         profile, bounds=(s_lo, s_hi), method="bounded",
         options={"xatol": _RIDGE_XATOL},
     )
-    best_misfit, best_q, best_spec = cache[res.x]
+    best_misfit, best_q = cache[res.x]
     if best_misfit < start_misfit:
-        return PlateParams.from_array(best_q), best_spec, best_misfit
+        return PlateParams.from_array(best_q), best_misfit
     return start
 
 
@@ -315,8 +309,9 @@ def invert(
 ) -> InversionResult:
     """Recover plate parameters from an observed inductance spectrum.
 
-    Never raises on poor data: rank degeneracy, a singular solve, a
-    stalled line search or running out of iterations all come back as
+    Never raises on poor data: non-finite observations, fewer
+    observations than free parameters, rank degeneracy, a singular solve,
+    a stalled line search or running out of iterations all come back as
     ``converged=False`` with the reason in ``message``.
     """
     if cfg is None:
@@ -325,10 +320,25 @@ def invert(
         raise ValueError("observed spectrum is empty")
 
     p = cfg.bounds.clamp(cfg.init)
+    bad = ~np.isfinite(observed.values)
+    if np.any(bad):
+        return InversionResult(
+            params=p,
+            converged=False,
+            iterations=0,
+            residual_history=[],
+            rank_masks=[],
+            step_history=[],
+            param_history=[p],
+            message=(
+                f"observed spectrum has non-finite values at {int(bad.sum())} of "
+                f"{len(observed)} frequencies (first at {observed.freqs[bad][0]:g} Hz)"
+            ),
+        )
     freqs = observed.freqs
     lo = cfg.bounds.lower()
     hi = cfg.bounds.upper()
-    model = delta_l_spectrum(coil, p, freqs)
+    model, entries = delta_l_spectrum(coil, p, freqs, jacobian=True)
     misfit = objective(observed, model)
 
     residual_history = [misfit]
@@ -340,9 +350,7 @@ def invert(
     accepted = 0
 
     for _ in range(cfg.max_iter):
-        jac = jacobian(
-            coil, p, freqs, fractions=(cfg.jacobian_fraction,) * 4, base=model
-        )
+        jac = JacobianMatrix(entries=entries, reference=p)
         try:
             mask = dynamic_rank_mask(jac, cfg.rank_threshold)
         except RankDegeneracyError as err:
@@ -351,6 +359,12 @@ def invert(
         keep = np.asarray(mask, dtype=bool)
         p_arr = p.as_array()
         r = model.stacked - observed.stacked
+        if r.size < keep.sum():
+            message = (
+                f"underdetermined: {r.size} real observations for "
+                f"{int(keep.sum())} free parameters"
+            )
+            break
 
         # Split the scaled reduced system into stiff and ridge parts.
         scaled = jac.entries[:, keep] * p_arr[keep]
@@ -410,10 +424,9 @@ def invert(
             raw = p_arr + step * 0.5**k
             trial = cfg.bounds.clamp_array(raw)
             trial_p = PlateParams.from_array(trial)
-            trial_model = delta_l_spectrum(coil, trial_p, freqs)
-            trial_misfit = objective(observed, trial_model)
+            trial_misfit = objective(observed, delta_l_spectrum(coil, trial_p, freqs))
             if trial_misfit < misfit:
-                cand = (trial_p, trial_model, trial_misfit)
+                cand = (trial_p, trial_misfit)
                 full_accept = k == 0 and not np.any(trial != raw)
                 break
         if cand is None:
@@ -425,7 +438,7 @@ def invert(
                 coil, freqs, observed, cand, u, sv, vt, n_stiff, keep, cfg.bounds
             )
 
-        new_p, model, new_misfit = cand
+        new_p, new_misfit = cand
         rel_step = float(np.linalg.norm((new_p.as_array() - p_arr) / p_arr))
         prev_misfit, misfit = misfit, new_misfit
         p = new_p
@@ -446,6 +459,9 @@ def invert(
             converged = True
             message = "misfit decrease below residual tolerance"
             break
+        # The pass repeats the plain spectrum's arithmetic, so this model
+        # reproduces the accepted misfit bit for bit.
+        model, entries = delta_l_spectrum(coil, p, freqs, jacobian=True)
 
     return InversionResult(
         params=p,

@@ -1,11 +1,13 @@
-"""Perturbation sensitivities of the forward model.
+"""Finite-perturbation sensitivities of the forward model.
 
-The Jacobian of the stacked spectrum is built by one-sided finite
-differences: each parameter is bumped up by a fraction of its current
-value and the spectrum re-evaluated, so a full Jacobian costs exactly
-five forward spectra (reference plus one per parameter).  The same
-machinery exposes per-fraction sensitivity curves, which show how the
-response saturates as the perturbation grows into the nonlinear range.
+Each parameter is bumped up by a fraction of its current value and the
+spectrum re-evaluated, so a full finite-difference Jacobian costs
+exactly five forward spectra (reference plus one per parameter).  The
+same machinery exposes per-fraction sensitivity curves, which show how
+the response saturates as the perturbation grows into the nonlinear
+range; that saturation, not the derivative itself, is what these
+functions are for.  The solver takes the exact Jacobian from the forward
+kernel instead (``delta_l_spectrum(..., jacobian=True)``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import DEFAULT_N_NODES, CoilGeometry, InductanceSpectrum, PlateParams
+from .forward import DEFAULT_N_NODES, CoilGeometry, PlateParams
 from .forward import delta_l_spectrum
 
 __all__ = [
@@ -36,33 +38,36 @@ DEFAULT_FRACTIONS = (0.01, 0.05, 0.10, 0.50)
 
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """Finite-difference Jacobian of the stacked spectrum.
+    """Jacobian of the stacked spectrum.
 
     ``entries`` has one row per stacked observation (all real parts, then
     all imaginary parts) and one column per parameter in PARAM_NAMES
-    order.  The perturbation fractions and the reference parameters the
-    columns were built at ride along for scaling and masking downstream.
+    order.  The reference parameters the columns were built at ride along
+    for scaling and masking downstream, and so do the perturbation
+    fractions of a finite-difference Jacobian; they are None for the
+    exact one of ``delta_l_spectrum(..., jacobian=True)``.
     """
 
     entries: np.ndarray
-    perturbation_fractions: np.ndarray
     reference: PlateParams
+    perturbation_fractions: np.ndarray | None = None
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
-        fractions = np.array(self.perturbation_fractions, dtype=float)
         if entries.ndim != 2 or entries.shape[1] != 4:
             raise ValueError("entries must be a (2m, 4) array")
         if entries.shape[0] % 2 != 0:
             raise ValueError("entries must stack real and imaginary rows evenly")
         if not np.all(np.isfinite(entries)):
             raise ValueError("Jacobian entries must all be finite")
-        if fractions.shape != (4,):
-            raise ValueError("perturbation_fractions must have four entries")
         entries.flags.writeable = False
-        fractions.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "perturbation_fractions", fractions)
+        if self.perturbation_fractions is not None:
+            fractions = np.array(self.perturbation_fractions, dtype=float)
+            if fractions.shape != (4,):
+                raise ValueError("perturbation_fractions must have four entries")
+            fractions.flags.writeable = False
+            object.__setattr__(self, "perturbation_fractions", fractions)
 
 
 def _check_fractions(fractions: np.ndarray):
@@ -70,28 +75,35 @@ def _check_fractions(fractions: np.ndarray):
         raise ValueError("perturbation fractions must lie in (0, 0.5]")
 
 
+def _check_reference(ref: PlateParams, k: int):
+    """A relative step needs a nonzero reference value (sigma and t may be 0)."""
+    if ref.as_array()[k] == 0.0:
+        raise ValueError(
+            f"reference {PARAM_NAMES[k]} is 0, so a relative perturbation "
+            "step of it is 0; choose a nonzero reference value"
+        )
+
+
 def jacobian(
     coil: CoilGeometry,
     ref: PlateParams,
     freqs,
     fractions=(0.01, 0.01, 0.01, 0.01),
-    base: InductanceSpectrum | None = None,
     n_nodes: int = DEFAULT_N_NODES,
 ) -> JacobianMatrix:
     """One-sided finite-difference Jacobian at the reference parameters.
 
     Perturbations are taken upward only (+fraction * value), which keeps
     every probe physical even when the reference sits on a lower bound.
-    Pass ``base`` to reuse an already computed reference spectrum; the
-    four perturbed spectra are always evaluated fresh.
+    A reference value of 0 is rejected: its relative step would be 0.
     """
     fr = np.asarray(fractions, dtype=float)
     if fr.shape != (4,):
         raise ValueError("fractions must be a 4-vector")
     _check_fractions(fr)
-    if base is None:
-        base = delta_l_spectrum(coil, ref, freqs, n_nodes)
-    base_vec = base.stacked
+    for k in range(4):
+        _check_reference(ref, k)
+    base_vec = delta_l_spectrum(coil, ref, freqs, n_nodes).stacked
     p0 = ref.as_array()
     cols = np.empty((base_vec.size, 4))
     for k in range(4):
@@ -115,7 +127,8 @@ def sensitivity_spectrum(
 
     Returns rows (freq_hz, fraction, re_sens, im_sens), ordered by
     fraction then frequency, where the sensitivity is the one-sided
-    difference quotient d(dL)/d(param) at that perturbation size.
+    difference quotient d(dL)/d(param) at that perturbation size.  A
+    reference value of 0 for ``param`` is rejected, as in ``jacobian``.
     """
     if param not in PARAM_NAMES:
         raise ValueError(f"param must be one of {PARAM_NAMES}, got {param!r}")
@@ -123,12 +136,13 @@ def sensitivity_spectrum(
     if fr.size == 0:
         raise ValueError("need at least one perturbation fraction")
     _check_fractions(fr)
+    k = PARAM_NAMES.index(param)
+    _check_reference(ref, k)
     if freqs is None:
         from .forward import default_frequencies
 
         freqs = default_frequencies()
     base = delta_l_spectrum(coil, ref, freqs, n_nodes)
-    k = PARAM_NAMES.index(param)
     p0 = ref.as_array()
     rows = []
     for frac in fr:

@@ -202,8 +202,7 @@ def test_invert_init_overrides_in_manifest(tmp_path, plate_cfg, capsys):
     code = main(["invert", "--spectrum", str(spec_csv), "--out", str(report_json),
                  "--init-sigma-msm", "2.5", "--init-mu-r", "80",
                  "--init-t-mm", "1.25", "--init-liftoff-mm", "4",
-                 "--max-iter", "60", "--rank-tau", "1e-5",
-                 "--fd-fraction", "1e-3"])
+                 "--max-iter", "60", "--rank-tau", "1e-5"])
     assert code in (0, 2)
     man = _manifest(report_json)
     assert man["config"]["init_sigma_msm"] == pytest.approx(2.5, rel=1e-15)
@@ -212,7 +211,7 @@ def test_invert_init_overrides_in_manifest(tmp_path, plate_cfg, capsys):
     assert man["config"]["init_liftoff_mm"] == pytest.approx(4.0, rel=1e-15)
     assert man["config"]["max_iter"] == 60
     assert man["config"]["rank_tau"] == 1e-5
-    assert man["config"]["fd_fraction"] == 1e-3
+    assert "fd_fraction" not in man["config"]
 
 
 # --------------------------------------------------------------- sensitivity
@@ -259,6 +258,27 @@ def test_sensitivity_svg_is_deterministic_xml_with_one_panel_per_parameter(
     text = (tmp_path / "one.svg").read_text()
     ET.fromstring(text)
     assert "nan" not in text and "inf" not in text
+
+
+def test_sensitivity_refuses_svg_over_the_csv(tmp_path, plate_cfg, capsys):
+    # --out with an .svg suffix would be the plot's own path.
+    out = tmp_path / "s.svg"
+    code = main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
+                 "--freqs-hz", "1e3", "--svg"])
+    assert code == 1
+    assert "--svg" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [plate_cfg]
+
+
+def test_sensitivity_zero_reference_is_a_usage_error(tmp_path, capsys):
+    plate = tmp_path / "thin.cfg"
+    plate.write_text("sigma_msm = 4\nmu_r = 150\nt_mm = 0\nliftoff_mm = 8\n")
+    out = tmp_path / "sens.csv"
+    code = main(["sensitivity", "--plate", str(plate), "--out", str(out),
+                 "--freqs-hz", "1e3,1e4"])
+    assert code == 1
+    assert "reference t is 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sensitivity_illegal_fraction(tmp_path, plate_cfg, capsys):

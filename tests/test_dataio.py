@@ -126,8 +126,9 @@ def test_spectrum_unparsable_value_rejected(tmp_path):
 
 
 def test_spectrum_nan_rejected(tmp_path):
-    with pytest.raises(SpectrumFormatError):
-        _load_text(tmp_path, "freq_hz,re_dl_h,im_dl_h\n1e3,nan,2.0\n")
+    for bad in ("1e3,nan,2.0", "1e3,1.0,inf", "1e3,-inf,2.0", "inf,1.0,2.0"):
+        with pytest.raises(SpectrumFormatError, match="not finite"):
+            _load_text(tmp_path, f"freq_hz,re_dl_h,im_dl_h\n{bad}\n")
 
 
 def test_spectrum_nonpositive_frequency_rejected(tmp_path):
@@ -292,7 +293,6 @@ def test_inversion_config_full_mapping(tmp_path):
         "step_tol = 1e-7\n"
         "residual_tol = 1e-10\n"
         "rank_tau = 1e-5\n"
-        "fd_fraction = 1e-3\n"
         "damping = 11\n"
         "sigma_min_msm = 0.5\n"
         "sigma_max_msm = 50\n"
@@ -309,7 +309,6 @@ def test_inversion_config_full_mapping(tmp_path):
     assert cfg.step_tol == 1e-7
     assert cfg.residual_tol == 1e-10
     assert cfg.rank_threshold == 1e-5
-    assert cfg.jacobian_fraction == 1e-3
     assert cfg.damping == 11
     assert cfg.bounds.sigma == (0.5e6, 50e6)
     assert cfg.bounds.mu_r == (2.0, 500.0)
@@ -321,6 +320,10 @@ def test_inversion_config_unknown_key(tmp_path):
     path = tmp_path / "inv.cfg"
     path.write_text("tolerance = 1e-6\n")
     with pytest.raises(ConfigFormatError):
+        load_inversion_config(path)
+    # The solver's Jacobian is exact, so the old difference step is gone.
+    path.write_text("fd_fraction = 1e-3\n")
+    with pytest.raises(ConfigFormatError, match="fd_fraction"):
         load_inversion_config(path)
 
 

@@ -1,7 +1,9 @@
-"""Forward-model checks: kernel factors, analytic limits, and a full
-cross-check of the inductance integral against nested adaptive quadrature."""
+"""Forward-model checks: kernel factors, analytic limits, a full
+cross-check of the inductance integral against nested adaptive quadrature,
+and the exact Jacobian against difference quotients."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from eddyspec import (
     MU0,
     CoilGeometry,
     InductanceSpectrum,
+    ParamBounds,
     PlateParams,
     a_factor,
     alpha1,
@@ -147,9 +150,9 @@ def test_phi_thick_plate_matches_half_space():
 
 
 def test_phi_overflow_branch_matches_naive_form():
-    # Wherever 2|alpha1|t stays under the overflow cut the production value
-    # must equal the textbook expression; past the cut it must stay finite
-    # and bounded.
+    # Wherever exp(2|alpha1|t) stays representable the production value
+    # must equal the textbook expression; past that (2|alpha1|t > 700) it
+    # must stay finite, bounded, and at the half-space value v/u.
     omega = 2.0 * math.pi * 1e5
     plate = PlateParams(sigma=4.13e6, mu_r=222.0, t=1.4e-3, l=5e-3)
     a = np.geomspace(0.1, 400.0, 200)
@@ -164,9 +167,14 @@ def test_phi_overflow_branch_matches_naive_form():
     np.testing.assert_allclose(got[safe], naive[safe], rtol=1e-12)
 
     big = PlateParams(sigma=1e8, mu_r=1e3, t=0.05, l=5e-3)
-    vals = phi(a, 2.0 * math.pi * 1e7, big)
+    omega = 2.0 * math.pi * 1e7
+    vals = phi(a, omega, big)
     assert np.all(np.isfinite(vals))
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+    a1 = alpha1(a, omega, big.sigma, big.mu_r)
+    assert np.all(2.0 * np.abs(a1) * big.t > 700.0)
+    half = (big.mu_r * a - a1) / (big.mu_r * a + a1)
+    np.testing.assert_allclose(vals, half, rtol=1e-14)
 
 
 def test_a_factor_values_and_monotonicity():
@@ -285,18 +293,93 @@ def test_spectra_of_all_samples_are_finite(coil, band):
 
 
 def test_delta_l_input_validation(coil):
-    grid, p_cache = coil_grid(coil)
+    nodes, weights = coil_grid(coil)
     plate = dp600(0.005)
     with pytest.raises(ValueError):
-        delta_l(coil, plate, 0.0, grid, p_cache)
+        delta_l(plate, 0.0, nodes, weights)
     with pytest.raises(ValueError):
-        delta_l(coil, plate, 1e3, grid, p_cache[:-1])
+        delta_l(plate, 1e3, nodes, weights[:-1])
 
 
 def test_empty_frequency_list(coil):
     s = delta_l_spectrum(coil, dp600(0.005), [])
     assert len(s) == 0
     assert s.stacked.size == 0
+    s, entries = delta_l_spectrum(coil, dp600(0.005), [], jacobian=True)
+    assert len(s) == 0
+    assert entries.shape == (0, 4)
+
+
+# Lowest physical value of each parameter (sigma, mu_r, t, l), and the
+# absolute step of a one-sided difference taken there.  The response bends
+# sharply at sigma = 0 and at t = 0, so those steps are small.
+_FLOOR = (0.0, 1.0, 0.0, 0.0)
+_EDGE_STEP = (1e-2, 1e-5, 1e-12, None)
+
+
+def _difference_jacobian(coil, plate, freqs):
+    """Central differences of delta_l_spectrum with 1e-5 relative steps;
+    at a parameter's lowest physical value, a second-order one-sided
+    difference instead.  Returns (columns, steps, norm of the spectrum)."""
+    p0 = plate.as_array()
+    base = delta_l_spectrum(coil, plate, freqs).stacked
+
+    def at(k, x):
+        q = p0.copy()
+        q[k] = x
+        return delta_l_spectrum(coil, PlateParams.from_array(q), freqs).stacked
+
+    cols, steps = [], []
+    for k in range(4):
+        if p0[k] * (1.0 - 1e-5) <= _FLOOR[k]:
+            h = _EDGE_STEP[k]
+            cols.append((-3.0 * base + 4.0 * at(k, p0[k] + h) - at(k, p0[k] + 2 * h)) / (2 * h))
+        else:
+            h = 1e-5 * p0[k]
+            cols.append((at(k, p0[k] + h) - at(k, p0[k] - h)) / (2 * h))
+        steps.append(h)
+    return np.array(cols).T, steps, np.linalg.norm(base)
+
+
+def test_jacobian_matches_central_differences(coil, band):
+    # Grades, every corner of the default bounds box, sigma = 0 and t = 0.
+    # Each column agrees to 1e-7 relative, or to the rounding floor of the
+    # difference quotient (1e-12 of the spectrum over the step) where the
+    # column is too small for a difference to resolve.
+    box = ParamBounds()
+    plates = [dp600(0.005), dp800(), dp1000(0.03)]
+    plates += [PlateParams.from_array(c) for c in itertools.product(*zip(box.lower(), box.upper()))]
+    plates += [
+        PlateParams(sigma=0.0, mu_r=1.0, t=1.4e-3, l=5e-3),
+        PlateParams(sigma=0.0, mu_r=222.0, t=1.4e-3, l=5e-3),
+        PlateParams(sigma=4.13e6, mu_r=222.0, t=0.0, l=5e-3),
+    ]
+    for plate in plates:
+        spectrum, entries = delta_l_spectrum(coil, plate, band, jacobian=True)
+        np.testing.assert_array_equal(
+            spectrum.values, delta_l_spectrum(coil, plate, band).values)
+        assert entries.shape == (2 * len(band), 4)
+        assert np.all(np.isfinite(entries))
+        want, steps, size = _difference_jacobian(coil, plate, band)
+        for k in range(4):
+            err = np.linalg.norm(entries[:, k] - want[:, k])
+            tol = 1e-7 * np.linalg.norm(want[:, k]) + 1e-12 * size / steps[k]
+            assert err <= tol, (plate, k, err, tol)
+
+
+def test_jacobian_matches_oracle_differences(coil):
+    plate = dp600(0.005)
+    _, entries = delta_l_spectrum(coil, plate, [1e3], jacobian=True)
+    grad = entries[0] + 1j * entries[1]
+    p0 = plate.as_array()
+    for k in range(4):
+        up, dn = p0.copy(), p0.copy()
+        h = 1e-4 * p0[k]
+        up[k] += h
+        dn[k] -= h
+        want = (oracle_delta_l(coil, PlateParams.from_array(up), 1e3)
+                - oracle_delta_l(coil, PlateParams.from_array(dn), 1e3)) / (2 * h)
+        assert abs(grad[k] - want) < 1e-6 * abs(want), k
 
 
 def test_impedance_to_inductance():

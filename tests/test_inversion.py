@@ -8,10 +8,12 @@ import pytest
 from eddyspec import (
     InductanceSpectrum,
     InversionConfig,
+    NoiseModel,
     ParamBounds,
     PlateParams,
     RankDegeneracyError,
     SingularSystemError,
+    add_noise,
     delta_l_spectrum,
     dynamic_rank_mask,
     gauss_newton_step,
@@ -194,8 +196,8 @@ def test_inversion_config_validation():
         InversionConfig(residual_tol=-1.0)
     with pytest.raises(ValueError):
         InversionConfig(rank_threshold=0.0)
-    with pytest.raises(ValueError):
-        InversionConfig(jacobian_fraction=0.6)
+    with pytest.raises(TypeError):  # the Jacobian is exact: no difference step
+        InversionConfig(jacobian_fraction=1e-4)
     with pytest.raises(ValueError):
         InversionConfig(damping=-1)
     with pytest.raises(ValueError):
@@ -280,6 +282,41 @@ def test_invert_is_deterministic(coil):
 def test_invert_empty_spectrum_raises(coil):
     with pytest.raises(ValueError):
         invert(coil, _spec([], []))
+
+
+def test_underdetermined_fit_is_not_converged(coil):
+    # One frequency gives two real observations for four parameters.
+    observed = delta_l_spectrum(coil, dp600(0.005), [1e3])
+    result = invert(coil, observed)
+    assert not result.converged
+    assert result.iterations == 0
+    assert "2 real observations for 4 free parameters" in result.message
+
+
+def test_invert_takes_one_exact_jacobian_pass_per_iteration(coil, band, monkeypatch):
+    # The Jacobian comes from the forward pass at the iterate itself, so
+    # no spectrum is spent on difference probes; line-search spectra are
+    # plain ones.
+    import eddyspec.inversion as inv
+
+    passes, plain = [], []
+    real = inv.delta_l_spectrum
+
+    def counting(coil, plate, freqs, *args, jacobian=False, **kwargs):
+        (passes if jacobian else plain).append(plate)
+        return real(coil, plate, freqs, *args, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(inv, "delta_l_spectrum", counting)
+    clean = delta_l_spectrum(coil, dp600(0.005), band)
+    start = invert(coil, clean).params
+    noisy = add_noise(clean, NoiseModel(amplitude=0.05, seed=3))
+    passes.clear()
+    plain.clear()
+    result = invert(coil, noisy, InversionConfig(init=start))
+    assert result.converged
+    assert len(passes) in (result.iterations, result.iterations + 1)
+    assert passes == result.param_history[:len(passes)]
+    assert len(plain) >= result.iterations
 
 
 def test_custom_bounds_box_is_respected(coil):

@@ -67,10 +67,21 @@ def test_jacobian_costs_five_forward_evaluations(coil, band, monkeypatch):
     monkeypatch.setattr(sens, "delta_l_spectrum", counting)
     jacobian(coil, dp600(0.005), band)
     assert len(calls) == 5
-    calls.clear()
-    base = real(coil, dp600(0.005), band)
-    jacobian(coil, dp600(0.005), band, base=base)
-    assert len(calls) == 4
+
+
+def test_zero_reference_value_is_rejected(coil, band):
+    # A relative step of a zero reference is zero: every quotient would be
+    # 0/0.  Only the parameter that is zero is refused.
+    thin = PlateParams(sigma=4.13e6, mu_r=222.0, t=0.0, l=5e-3)
+    with pytest.raises(ValueError, match="reference t is 0"):
+        jacobian(coil, thin, band)
+    with pytest.raises(ValueError, match="reference t is 0"):
+        sensitivity_spectrum(coil, thin, "t", freqs=band)
+    air = PlateParams(sigma=0.0, mu_r=222.0, t=1.4e-3, l=5e-3)
+    with pytest.raises(ValueError, match="reference sigma is 0"):
+        sensitivity_spectrum(coil, air, "sigma", freqs=band)
+    rows = sensitivity_spectrum(coil, thin, "sigma", fractions=[0.01], freqs=band)
+    assert np.all(np.isfinite(np.array(rows)))
 
 
 def test_jacobian_fraction_validation(coil, band):
