@@ -11,7 +11,7 @@ All internal quantities are strict SI (m, S/m, H, Hz).  Millimetres and
 MS/m appear only at the file-format and command-line boundary.
 """
 
-from .specfun import QuadratureGrid, bessel_j0, bessel_j1, build_grid, p_integral
+from .specfun import QuadratureGrid, build_grid, p_integral
 from .forward import (
     MU0,
     CoilGeometry,
@@ -60,8 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MU0",
     "QuadratureGrid",
-    "bessel_j0",
-    "bessel_j1",
     "build_grid",
     "p_integral",
     "CoilGeometry",

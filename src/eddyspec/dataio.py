@@ -212,7 +212,7 @@ def _kv_unit(kv: dict[str, str], key: str, default: float, factor: float) -> flo
     return _kv_float(kv, key) * factor
 
 
-_COIL_KEYS = ("r1_mm", "r2_mm", "h_mm", "g_mm", "l0_mm", "n_turns")
+_COIL_KEYS = ("r1_mm", "r2_mm", "h_mm", "g_mm", "n_turns")
 
 
 def load_coil_config(path) -> CoilGeometry:
@@ -231,7 +231,6 @@ def load_coil_config(path) -> CoilGeometry:
         r2=_kv_unit(kv, "r2_mm", ref.r2, 1e-3),
         h=_kv_unit(kv, "h_mm", ref.h, 1e-3),
         g=_kv_unit(kv, "g_mm", ref.g, 1e-3),
-        l0=_kv_unit(kv, "l0_mm", ref.l0, 1e-3),
         n_turns=n,
     )
 

@@ -20,6 +20,39 @@ spectrum, and each frequency costs one pass over the nodes.  The same
 pass can also return the exact derivatives of dL with respect to the four
 plate parameters, which is what the solver uses as its Jacobian.
 
+Quadrature and its error budget.  The integral runs over (0, alpha_max]
+on a composite 12-point Gauss-Legendre grid (layout in ``specfun``): n
+equal panels, the first of them halved toward alpha = 0 until its
+innermost edge is at or below 1e-6 rad/m.  P(alpha) comes from its closed
+form in one vectorised call.  The budget is 1e-10 of the spectrum's peak
+|dL| for every plate in the ``ParamBounds`` box at 10 Hz - 1 MHz, and
+each of the three error sources is held far below it:
+
+* Tail.  The cut alpha_max = max(30/(h + g), 20/r1) is taken at zero
+  lift-off, so it holds for every plate: beyond it A(alpha) <= 2 e^-30
+  (about 2e-13), |phi| <= 1, and P^2/alpha^6 has fallen by many decades
+  from its alpha -> 0 value.
+* Oscillation.  P(alpha)^2 oscillates at up to 2 r2 in alpha.  Uniform
+  panels are at most 7.5/r2 wide, and there are at least 8 of them, so
+  a 12-point panel sees about one period.  Probes with r2 up to
+  2 (h + g) and 3 r1, the reference probe and the pencil probe included,
+  get exactly 8 panels; a flat pancake coil gets more.
+* Origin.  phi has its singularities near alpha = 0.  The branch points
+  of alpha1 lie |k|/sqrt(2) off the real axis, and a thin plate adds a
+  pole near alpha ~ t k^2 / (2 mu_r) = t omega sigma mu0 / 2, which is
+  4e-6 rad/m at the box corner (t 10 um, sigma 10 kS/m, 10 Hz).  Halving
+  to 1e-6 puts two panels between that pole and alpha = 0: 27 halvings
+  on the reference probe, 420 nodes in all.  With 20 halvings, 7 of 1600
+  random plates in the box missed 1e-9 of peak on four probes.
+
+Measured against the independent reference in ``bench/reference.py``
+(graded rules of about 1700 and 2300 nodes that agree to 1e-12): worst
+5e-14 of peak over 2800 random plates in the box (lift-off up to 0.5 m)
+and over the box's thin, resistive corners, on seven probes from a
+2 mm coil to a 50 mm pancake.  The budget is stated for the box and the
+band only: a thinner or more resistive plate, or a lower frequency,
+moves the pole below 1e-6 rad/m.
+
 Sign conventions follow the physics: a ferromagnetic plate at low
 frequency raises the inductance (Re dL > 0), a good conductor at high
 frequency lowers it (Re dL < 0).
@@ -33,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import build_grid, p_integral
+from .specfun import build_grid, p_integral, panel_edges
 
 __all__ = [
     "MU0",
@@ -50,15 +83,12 @@ __all__ = [
     "delta_l_spectrum",
     "impedance_to_inductance",
     "default_frequencies",
-    "DEFAULT_N_NODES",
     "DEFAULT_FMIN_HZ",
     "DEFAULT_FMAX_HZ",
     "DEFAULT_N_FREQS",
 ]
 
 MU0 = 4e-7 * np.pi  # vacuum permeability, H/m
-
-DEFAULT_N_NODES = 2048
 
 # Default measurement band: 30 points per run, log-spaced over 100 Hz to
 # 100 kHz.  The lower edge keeps the skin depth in dual-phase steels above
@@ -71,9 +101,14 @@ DEFAULT_FMIN_HZ = 100.0
 DEFAULT_FMAX_HZ = 1e5
 DEFAULT_N_FREQS = 30
 
-# Tail cutoff for the spatial-frequency integral: truncate where the
-# axial decay alone has fallen below 1e-10.
-_TAIL_EPS_LOG = math.log(1e10)
+# Quadrature grid (error budget in the module docstring): the cut in
+# units of 1/(h + g) and of 1/r1, the fewest uniform panels, the widest
+# uniform panel in units of 1/r2, and the innermost panel edge in rad/m.
+_TAIL_DECAY = 30.0
+_BORE_CUT = 20.0
+_MIN_PANELS = 8
+_PANEL_PHASE = 7.5
+_ALPHA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,21 +116,20 @@ class CoilGeometry:
     """Gradiometer pair geometry in metres (turn count per winding).
 
     Defaults describe the reference probe used throughout: 150 mm bore,
-    15-turn windings, 35 mm axial gap, nominal 5 mm stand-off.
+    15-turn windings, 35 mm axial gap.
     """
 
     r1: float = 0.075  # inner winding radius
     r2: float = 0.0875  # outer winding radius
     h: float = 0.010  # axial height of each winding
     g: float = 0.035  # axial gap between the two windings
-    l0: float = 0.005  # nominal lift-off used for grid truncation
     n_turns: int = 15
 
     def __post_init__(self):
         if not 0.0 < self.r1 < self.r2:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
-        if self.h <= 0.0 or self.g < 0.0 or self.l0 <= 0.0:
-            raise ValueError("h and l0 must be positive, g nonnegative")
+        if self.h <= 0.0 or self.g < 0.0:
+            raise ValueError("h must be positive, g nonnegative")
         if self.n_turns < 1:
             raise ValueError("n_turns must be a positive integer")
 
@@ -256,15 +290,15 @@ def coil_constant(coil: CoilGeometry) -> float:
 def truncation_alpha_max(coil: CoilGeometry) -> float:
     """Upper integration limit for the spatial-frequency integral.
 
-    Chosen so the axial decay alone is below 1e-10 at the cut, with a
-    floor of 20/r1 so narrow coils still resolve their own bore.
+    Taken at zero lift-off, so it holds for every plate: the axial decay
+    exp(-alpha (h + g)) is below exp(-30) ~ 1e-13 at the cut, with a floor
+    of 20/r1 so narrow coils still resolve their own bore.
     """
-    s = 2.0 * coil.l0 + coil.h + coil.g
-    return max(_TAIL_EPS_LOG / s, 20.0 / coil.r1)
+    return max(_TAIL_DECAY / (coil.h + coil.g), _BORE_CUT / coil.r1)
 
 
 @lru_cache(maxsize=16)
-def coil_grid(coil: CoilGeometry, n_nodes: int = DEFAULT_N_NODES):
+def coil_grid(coil: CoilGeometry):
     """Quadrature nodes and coil weights, built once per coil.
 
     Returns (nodes, weights) with weights = K * w * P(alpha)^2 / alpha^6:
@@ -272,9 +306,11 @@ def coil_grid(coil: CoilGeometry, n_nodes: int = DEFAULT_N_NODES):
     cache is shared by every frequency and every plate evaluated with
     this coil.
     """
-    grid = build_grid(truncation_alpha_max(coil), n_nodes)
+    alpha_max = truncation_alpha_max(coil)
+    n_uniform = max(_MIN_PANELS, math.ceil(alpha_max * coil.r2 / _PANEL_PHASE))
+    grid = build_grid(panel_edges(alpha_max, n_uniform, _ALPHA_FLOOR))
     a = grid.nodes
-    p = np.array([p_integral(x, coil.r1, coil.r2) for x in a])
+    p = p_integral(a, coil.r1, coil.r2)
     weights = coil_constant(coil) * grid.weights * p**2 / a**6
     weights.flags.writeable = False
     return a, weights
@@ -336,7 +372,6 @@ def delta_l_spectrum(
     coil: CoilGeometry,
     plate: PlateParams,
     freqs,
-    n_nodes: int = DEFAULT_N_NODES,
     jacobian: bool = False,
 ):
     """Inductance-change spectrum over a frequency grid (one delta_l per point).
@@ -345,7 +380,7 @@ def delta_l_spectrum(
     the exact (2m, 4) Jacobian of ``spectrum.stacked`` with respect to
     (sigma, mu_r, t, l), from the same pass over the kernel.
     """
-    nodes, coil_weights = coil_grid(coil, n_nodes)
+    nodes, coil_weights = coil_grid(coil)
     weights = coil_weights * a_factor(nodes, coil, plate.l)
     f = np.asarray(freqs, dtype=float)
     if not jacobian:

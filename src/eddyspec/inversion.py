@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .forward import CoilGeometry, InductanceSpectrum, PlateParams, delta_l_spectrum
 from .sensitivity import JacobianMatrix
@@ -238,6 +237,15 @@ def gauss_newton_step(
     return delta
 
 
+def minimize_scalar(fun, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on the first ridge
+    search: scipy.optimize costs about 22 MB and a quarter second to load,
+    and a forward model or a noisy fit never needs it."""
+    from scipy import optimize
+
+    return optimize.minimize_scalar(fun, **kwargs)
+
+
 def _ridge_refine(coil, freqs, observed, start, u, sv, vt, n_stiff, keep, bounds):
     """Bounded 1-D misfit search along the ridge direction.
 
@@ -309,10 +317,11 @@ def invert(
 ) -> InversionResult:
     """Recover plate parameters from an observed inductance spectrum.
 
-    Never raises on poor data: non-finite observations, fewer
-    observations than free parameters, rank degeneracy, a singular solve,
-    a stalled line search or running out of iterations all come back as
-    ``converged=False`` with the reason in ``message``.
+    Never raises on poor data: non-finite observations, a spectrum that
+    is zero everywhere, fewer observations than free parameters, rank
+    degeneracy, a singular solve, a stalled line search or running out of
+    iterations all come back as ``converged=False`` with the reason in
+    ``message``.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -321,7 +330,21 @@ def invert(
 
     p = cfg.bounds.clamp(cfg.init)
     bad = ~np.isfinite(observed.values)
+    refusal = None
     if np.any(bad):
+        refusal = (
+            f"observed spectrum has non-finite values at {int(bad.sum())} of "
+            f"{len(observed)} frequencies (first at {observed.freqs[bad][0]:g} Hz)"
+        )
+    elif not np.any(observed.values):
+        # A t = 0 plate, or none at all.  Every plate in the bounds box
+        # gives a nonzero spectrum, so no iterate fits these data and a
+        # search would only drift to the edge of the box.
+        refusal = (
+            f"observed spectrum is zero at all {len(observed)} frequencies: "
+            "the data carry no plate signal"
+        )
+    if refusal is not None:
         return InversionResult(
             params=p,
             converged=False,
@@ -330,10 +353,7 @@ def invert(
             rank_masks=[],
             step_history=[],
             param_history=[p],
-            message=(
-                f"observed spectrum has non-finite values at {int(bad.sum())} of "
-                f"{len(observed)} frequencies (first at {observed.freqs[bad][0]:g} Hz)"
-            ),
+            message=refusal,
         )
     freqs = observed.freqs
     lo = cfg.bounds.lower()

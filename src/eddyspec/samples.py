@@ -2,8 +2,7 @@
 
 Property sets (DC conductivity, low-field relative permeability,
 thickness) for the DP600 / DP800 / DP1000 grades used in the shipped
-report cases and the test suite.  Ferrite phase fractions ride along as
-metadata only; nothing in the solver consumes them.
+report cases and the test suite.
 """
 
 from __future__ import annotations
@@ -14,12 +13,8 @@ __all__ = [
     "dp600",
     "dp800",
     "dp1000",
-    "FERRITE_PERCENT",
     "REPORT_CASES",
 ]
-
-# Measured ferrite phase fraction of each grade, percent (metadata).
-FERRITE_PERCENT = {"DP600": 83.6, "DP800": 74.9, "DP1000": 54.5}
 
 
 def dp600(liftoff: float = 0.005) -> PlateParams:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import DEFAULT_N_NODES, CoilGeometry, PlateParams
-from .forward import delta_l_spectrum
+from .forward import CoilGeometry, PlateParams, delta_l_spectrum
 
 __all__ = [
     "PARAM_NAMES",
@@ -89,7 +88,6 @@ def jacobian(
     ref: PlateParams,
     freqs,
     fractions=(0.01, 0.01, 0.01, 0.01),
-    n_nodes: int = DEFAULT_N_NODES,
 ) -> JacobianMatrix:
     """One-sided finite-difference Jacobian at the reference parameters.
 
@@ -103,14 +101,14 @@ def jacobian(
     _check_fractions(fr)
     for k in range(4):
         _check_reference(ref, k)
-    base_vec = delta_l_spectrum(coil, ref, freqs, n_nodes).stacked
+    base_vec = delta_l_spectrum(coil, ref, freqs).stacked
     p0 = ref.as_array()
     cols = np.empty((base_vec.size, 4))
     for k in range(4):
         step = fr[k] * p0[k]
         pk = p0.copy()
         pk[k] += step
-        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs, n_nodes)
+        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
         cols[:, k] = (pert.stacked - base_vec) / step
     return JacobianMatrix(entries=cols, perturbation_fractions=fr, reference=ref)
 
@@ -121,7 +119,6 @@ def sensitivity_spectrum(
     param: str,
     fractions=DEFAULT_FRACTIONS,
     freqs=None,
-    n_nodes: int = DEFAULT_N_NODES,
 ):
     """Finite-difference sensitivity curves for one parameter.
 
@@ -142,14 +139,14 @@ def sensitivity_spectrum(
         from .forward import default_frequencies
 
         freqs = default_frequencies()
-    base = delta_l_spectrum(coil, ref, freqs, n_nodes)
+    base = delta_l_spectrum(coil, ref, freqs)
     p0 = ref.as_array()
     rows = []
     for frac in fr:
         step = frac * p0[k]
         pk = p0.copy()
         pk[k] += step
-        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs, n_nodes)
+        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
         sens = (pert.values - base.values) / step
         for f, s in zip(base.freqs, sens):
             rows.append((float(f), float(frac), float(s.real), float(s.imag)))

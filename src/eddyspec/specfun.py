@@ -1,73 +1,64 @@
 """Special functions and quadrature support for the coil kernel.
 
-The forward model needs three numerical ingredients that have nothing to
-do with any particular plate: the Bessel functions J0 and J1, the radial
-coil integral P(a) = int_{a*r1}^{a*r2} x J1(x) dx, and a fixed quadrature
-grid on the spatial-frequency axis.  They live here so the physics
-modules stay free of quadrature bookkeeping.
+The forward model needs two numerical ingredients that have nothing to
+do with any particular plate: the radial coil integral
+P(a) = int_{a*r1}^{a*r2} x J1(x) dx, and a fixed quadrature grid on the
+spatial-frequency axis.  They live here so the physics modules stay free
+of quadrature bookkeeping.
+
+Grid layout (``panel_edges``): n equal panels cover (0, alpha_max], and
+the first of them, [0, e], is split m times toward alpha = 0 into
+[e/2, e], [e/4, e/2], ..., plus the innermost [0, e/2^m], with m the
+fewest halvings that bring e/2^m down to a given alpha_min.  Each panel
+carries a ``_PANEL_ORDER``-point Gauss-Legendre rule, so a grid has
+(n + m) * _PANEL_ORDER nodes: 420 on the reference probe (n = 8,
+m = 27).  Why these counts is the error budget in ``forward``'s module
+docstring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "QuadratureGrid",
-    "bessel_j0",
-    "bessel_j1",
     "p_integral",
+    "panel_edges",
     "build_grid",
 ]
 
-# Gauss-Legendre points per panel of the composite grid.  16 keeps single
-# panels exact for low-degree polynomials and converges spectrally for the
-# smooth kernels integrated here.
-_PANEL_ORDER = 16
+_PANEL_ORDER = 12
 
 
-def bessel_j0(x):
-    """Bessel function of the first kind, order zero.
-
-    Accepts scalars or arrays; finite input only.
-    """
-    return special.j0(x)
-
-
-def bessel_j1(x):
-    """Bessel function of the first kind, order one (odd in x)."""
-    return special.j1(x)
+def _xj1_integral(x):
+    """int_0^x s J1(s) ds = (pi x / 2) [J1(x) H0(x) - J0(x) H1(x)], H = Struve."""
+    return 0.5 * np.pi * x * (
+        special.j1(x) * special.struve(0, x) - special.j0(x) * special.struve(1, x)
+    )
 
 
-def _xj1(x: float) -> float:
-    return x * special.j1(x)
-
-
-def p_integral(alpha: float, r1: float, r2: float, rel_tol: float = 1e-10) -> float:
+def p_integral(alpha, r1: float, r2: float):
     """Radial coil weighting integral int_{alpha*r1}^{alpha*r2} x J1(x) dx.
 
-    Evaluated by adaptive panel quadrature to ``rel_tol`` relative
-    accuracy.  For alpha -> 0 the integrand behaves like x^2/2, so the
-    value falls off as alpha^3 (r2^3 - r1^3)/6; at alpha = 0 the window
-    is empty and the integral is exactly zero.
+    Closed form, for a scalar or an array of alpha >= 0 (one vectorised
+    evaluation for a whole grid).  For alpha -> 0 the integrand behaves
+    like x^2/2, so the value falls off as alpha^3 (r2^3 - r1^3)/6, and at
+    alpha = 0 the window is empty and the integral is exactly zero.  The
+    two Struve-Bessel products cancel only to about a third of their
+    size there, so the form keeps full relative precision at small alpha.
     """
     if not 0.0 < r1 < r2:
         raise ValueError(f"coil radii must satisfy 0 < r1 < r2, got r1={r1}, r2={r2}")
-    if alpha < 0.0:
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a < 0.0):
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if alpha == 0.0:
-        return 0.0
-    # Windows that straddle a zero of the integral cannot meet a purely
-    # relative stopping rule; the absolute floor sits at the roundoff
-    # scale of these O(1) integrands.
-    val, _ = integrate.quad(
-        _xj1, alpha * r1, alpha * r2, epsabs=1e-14, epsrel=rel_tol, limit=400
-    )
-    return val
+    out = _xj1_integral(a * r2) - _xj1_integral(a * r1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -105,35 +96,30 @@ class QuadratureGrid:
         return np.sum(self.weights * values, axis=-1)
 
 
-@lru_cache(maxsize=64)
-def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(order)
-    return x, w
+def panel_edges(alpha_max: float, n_uniform: int, alpha_min: float) -> np.ndarray:
+    """Panel edges of the forward grid on [0, alpha_max], graded toward 0.
 
-
-def build_grid(alpha_max: float, n_nodes: int = 2048) -> QuadratureGrid:
-    """Composite Gauss-Legendre grid on (0, alpha_max] with exactly n_nodes.
-
-    The interval is split into uniform panels of 16-point rules; any
-    remainder nodes are absorbed by enlarging the last panel's rule, so
-    the total node count is exactly what was asked for.
+    ``n_uniform`` equal panels, the first one halved toward 0 until its
+    innermost edge is at or below ``alpha_min`` (see the module docstring
+    for the layout).
     """
-    if alpha_max <= 0.0:
-        raise ValueError(f"alpha_max must be positive, got {alpha_max}")
-    if n_nodes < _PANEL_ORDER:
-        raise ValueError(f"n_nodes must be at least {_PANEL_ORDER}, got {n_nodes}")
-    n_panels = n_nodes // _PANEL_ORDER
-    orders = [_PANEL_ORDER] * n_panels
-    orders[-1] += n_nodes % _PANEL_ORDER
-    edges = np.linspace(0.0, alpha_max, n_panels + 1)
-    nodes = np.empty(n_nodes)
-    weights = np.empty(n_nodes)
-    pos = 0
-    for i, order in enumerate(orders):
-        x, w = _panel_rule(order)
-        half = 0.5 * (edges[i + 1] - edges[i])
-        mid = 0.5 * (edges[i + 1] + edges[i])
-        nodes[pos : pos + order] = mid + half * x
-        weights[pos : pos + order] = half * w
-        pos += order
-    return QuadratureGrid(nodes=nodes, weights=weights)
+    if not 0.0 < alpha_min < alpha_max:
+        raise ValueError(f"need 0 < alpha_min < alpha_max, got {alpha_min}, {alpha_max}")
+    if n_uniform < 1:
+        raise ValueError(f"need at least one uniform panel, got {n_uniform}")
+    uniform = np.linspace(0.0, alpha_max, n_uniform + 1)
+    halvings = max(0, math.ceil(math.log2(uniform[1] / alpha_min)))
+    graded = uniform[1] * 0.5 ** np.arange(halvings, 0, -1)
+    return np.concatenate([[0.0], graded, uniform[1:]])
+
+
+def build_grid(edges) -> QuadratureGrid:
+    """Composite Gauss-Legendre grid: a ``_PANEL_ORDER``-point rule on each
+    panel between consecutive ``edges`` (strictly increasing, from 0 up)."""
+    e = np.asarray(edges, dtype=float)
+    if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or np.any(np.diff(e) <= 0.0):
+        raise ValueError("edges must increase strictly from 0 with at least one panel")
+    x, w = leggauss(_PANEL_ORDER)
+    half = 0.5 * np.diff(e)[:, None]
+    mid = 0.5 * (e[1:] + e[:-1])[:, None]
+    return QuadratureGrid(nodes=(mid + half * x).ravel(), weights=(half * w).ravel())

@@ -206,7 +206,6 @@ def test_coil_config_partial_keys_keep_defaults(tmp_path):
     assert coil.r2 == ref.r2
     assert coil.h == ref.h
     assert coil.g == ref.g
-    assert coil.l0 == ref.l0
 
 
 def test_coil_config_comments_and_blanks(tmp_path):
@@ -221,6 +220,11 @@ def test_coil_config_unknown_key(tmp_path):
     with pytest.raises(ConfigFormatError) as err:
         load_coil_config(path)
     assert "radius_mm" in str(err.value)
+    # the nominal stand-off no longer sets the quadrature cut
+    path.write_text("l0_mm = 5\n")
+    with pytest.raises(ConfigFormatError) as err:
+        load_coil_config(path)
+    assert "l0_mm" in str(err.value)
 
 
 def test_coil_config_duplicate_key(tmp_path):

@@ -5,6 +5,10 @@ and the exact Jacobian against difference quotients."""
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +21,18 @@ from eddyspec import (
     PlateParams,
     a_factor,
     alpha1,
+    build_grid,
     coil_constant,
     coil_grid,
     default_frequencies,
     delta_l,
     delta_l_spectrum,
     impedance_to_inductance,
+    p_integral,
     truncation_alpha_max,
 )
 from eddyspec.forward import DEFAULT_N_FREQS, phi
+from eddyspec.specfun import panel_edges
 from eddyspec.samples import dp600, dp800, dp1000
 
 from conftest import oracle_delta_l
@@ -34,7 +41,6 @@ from conftest import oracle_delta_l
 def test_coil_geometry_reference_probe():
     coil = CoilGeometry()
     assert (coil.r1, coil.r2, coil.h, coil.g) == (0.075, 0.0875, 0.010, 0.035)
-    assert coil.l0 == 0.005
     assert coil.n_turns == 15
 
 
@@ -46,7 +52,7 @@ def test_coil_geometry_validation():
     with pytest.raises(ValueError):
         CoilGeometry(n_turns=0)
     with pytest.raises(ValueError):
-        CoilGeometry(l0=-0.005)
+        CoilGeometry(g=-0.005)
 
 
 def test_plate_params_array_round_trip():
@@ -210,11 +216,13 @@ def test_coil_constant_reference_and_scalings():
 
 
 def test_truncation_alpha_max_tail_and_floor():
+    # The cut holds at zero lift-off, so for every plate: the axial decay
+    # alone is down to exp(-30) there.
     coil = CoilGeometry()
-    s = 2.0 * coil.l0 + coil.h + coil.g
-    assert math.exp(-truncation_alpha_max(coil) * s) <= 1e-10 * (1.0 + 1e-12)
-    far = CoilGeometry(l0=0.5)
-    assert truncation_alpha_max(far) == 20.0 / far.r1
+    s = coil.h + coil.g
+    assert math.exp(-truncation_alpha_max(coil) * s) <= math.exp(-30.0) * (1.0 + 1e-12)
+    tall = CoilGeometry(h=0.1, g=0.5)
+    assert truncation_alpha_max(tall) == 20.0 / tall.r1
 
 
 def test_delta_l_zero_thickness_is_zero(coil, band):
@@ -247,6 +255,22 @@ def test_delta_l_dp600_1khz_against_adaptive_oracle(coil):
     assert abs(got - want) < 1e-6 * abs(want)
 
 
+def test_thin_plates_at_low_frequency_against_adaptive_oracle():
+    # Thin low-conductivity plates put a pole of phi near
+    # alpha ~ t omega sigma mu0 / 2, 5e-6 to 7e-6 rad/m here at 10 Hz: far
+    # inside any grid's first uniform panel, which the grading resolves.
+    pencil = CoilGeometry(r1=0.020, r2=0.025, h=0.005, g=0.010)
+    cases = [
+        (pencil, PlateParams(sigma=11.7e3, mu_r=238.0, t=15.4e-6, l=37.5e-3)),
+        (CoilGeometry(), PlateParams(sigma=10.5e3, mu_r=4123.0, t=13.2e-6, l=6.4e-3)),
+    ]
+    freqs = [10.0, 100.0, 1e3]
+    for coil, plate in cases:
+        got = delta_l_spectrum(coil, plate, freqs).values
+        want = np.array([oracle_delta_l(coil, plate, f) for f in freqs])
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), plate
+
+
 def test_band_edge_signs_with_oracle(coil, band):
     ferro = dp600(0.005)
     low = delta_l_spectrum(coil, ferro, band).values[0]
@@ -274,9 +298,21 @@ def test_low_frequency_loss_vanishes(coil):
 
 
 def test_quadrature_doubling(coil, band):
-    a = delta_l_spectrum(coil, dp600(0.005), band, 2048).values
-    b = delta_l_spectrum(coil, dp600(0.005), band, 4096).values
-    assert np.max(np.abs(b - a) / np.abs(a)) < 1e-4
+    # The reference probe's grid is 8 uniform panels graded toward 0 down
+    # to 1e-6 rad/m; splitting every one of its panels in two changes no
+    # band value.
+    plate = dp600(0.005)
+    nodes, _ = coil_grid(coil)
+    edges = panel_edges(truncation_alpha_max(coil), 8, 1e-6)
+    np.testing.assert_array_equal(build_grid(edges).nodes, nodes)
+    assert nodes.size == 420
+    fine = build_grid(np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])))
+    a = fine.nodes
+    weights = (coil_constant(coil) * fine.weights * p_integral(a, coil.r1, coil.r2) ** 2
+               / a**6 * a_factor(a, coil, plate.l))
+    doubled = np.array([delta_l(plate, f, a, weights) for f in band])
+    values = delta_l_spectrum(coil, plate, band).values
+    assert np.max(np.abs(doubled - values) / np.abs(values)) < 1e-12
 
 
 def test_frequency_continuity(coil):
@@ -310,17 +346,20 @@ def test_empty_frequency_list(coil):
     assert entries.shape == (0, 4)
 
 
-# Lowest physical value of each parameter (sigma, mu_r, t, l), and the
-# absolute step of a one-sided difference taken there.  The response bends
-# sharply at sigma = 0 and at t = 0, so those steps are small.
-_FLOOR = (0.0, 1.0, 0.0, 0.0)
-_EDGE_STEP = (1e-2, 1e-5, 1e-12, None)
+# Secant steps for the columns that have no derivative to match: sigma at
+# sigma = 0 and t at t = 0 (see _assert_secants_rise_toward).
+_SECANT_STEPS = {0: (100.0, 1.0, 1e-2, 1e-4), 2: (1e-6, 1e-8, 1e-10, 1e-12)}
+
+# mu_r = 1 is the lowest physical permeability; the difference there is
+# one-sided, with this absolute step.
+_MU_R_EDGE_STEP = 1e-5
 
 
 def _difference_jacobian(coil, plate, freqs):
     """Central differences of delta_l_spectrum with 1e-5 relative steps;
-    at a parameter's lowest physical value, a second-order one-sided
-    difference instead.  Returns (columns, steps, norm of the spectrum)."""
+    at mu_r = 1, a second-order one-sided difference instead.  The columns
+    in _SECANT_STEPS are None where their parameter is 0.  Returns
+    (columns, steps, norm of the spectrum)."""
     p0 = plate.as_array()
     base = delta_l_spectrum(coil, plate, freqs).stacked
 
@@ -331,21 +370,47 @@ def _difference_jacobian(coil, plate, freqs):
 
     cols, steps = [], []
     for k in range(4):
-        if p0[k] * (1.0 - 1e-5) <= _FLOOR[k]:
-            h = _EDGE_STEP[k]
+        if k in _SECANT_STEPS and p0[k] == 0.0:
+            cols.append(None)
+            steps.append(None)
+            continue
+        if k == 1 and p0[k] * (1.0 - 1e-5) <= 1.0:
+            h = _MU_R_EDGE_STEP
             cols.append((-3.0 * base + 4.0 * at(k, p0[k] + h) - at(k, p0[k] + 2 * h)) / (2 * h))
         else:
             h = 1e-5 * p0[k]
             cols.append((at(k, p0[k] + h) - at(k, p0[k] - h)) / (2 * h))
         steps.append(h)
-    return np.array(cols).T, steps, np.linalg.norm(base)
+    return cols, steps, np.linalg.norm(base)
+
+
+def _assert_secants_rise_toward(coil, plate, band, k, column):
+    """Near alpha = 0 the sigma kernel at sigma = 0 goes as 1/alpha, and so
+    does the t kernel at t = 0 (phi has a pole at alpha ~ t k^2 / (2 mu_r),
+    which reaches 0 with t).  dL - dL(0) then goes as x log x in that
+    parameter x: the model has no derivative there, and a difference
+    quotient only tells where the grid's lowest node sits.  What holds is
+    that the secants (dL(x) - dL(0)) / x grow as x falls and close in on
+    the grid's finite column."""
+    base = delta_l_spectrum(coil, plate, band).stacked
+    sizes, gaps = [], []
+    for x in _SECANT_STEPS[k]:
+        q = plate.as_array()
+        q[k] = x
+        secant = (delta_l_spectrum(coil, PlateParams.from_array(q), band).stacked - base) / x
+        sizes.append(np.linalg.norm(secant))
+        gaps.append(np.linalg.norm(secant - column))
+    assert np.all(np.diff(sizes) > 0.0) and np.all(np.diff(gaps) < 0.0), (plate, k, sizes, gaps)
+    assert sizes[-1] < np.linalg.norm(column)
 
 
 def test_jacobian_matches_central_differences(coil, band):
     # Grades, every corner of the default bounds box, sigma = 0 and t = 0.
     # Each column agrees to 1e-7 relative, or to the rounding floor of the
     # difference quotient (1e-12 of the spectrum over the step) where the
-    # column is too small for a difference to resolve.
+    # column is too small for a difference to resolve.  The sigma column
+    # at sigma = 0 and the t column at t = 0 have no derivative to match;
+    # their secants are checked instead.
     box = ParamBounds()
     plates = [dp600(0.005), dp800(), dp1000(0.03)]
     plates += [PlateParams.from_array(c) for c in itertools.product(*zip(box.lower(), box.upper()))]
@@ -362,8 +427,11 @@ def test_jacobian_matches_central_differences(coil, band):
         assert np.all(np.isfinite(entries))
         want, steps, size = _difference_jacobian(coil, plate, band)
         for k in range(4):
-            err = np.linalg.norm(entries[:, k] - want[:, k])
-            tol = 1e-7 * np.linalg.norm(want[:, k]) + 1e-12 * size / steps[k]
+            if want[k] is None:
+                _assert_secants_rise_toward(coil, plate, band, k, entries[:, k])
+                continue
+            err = np.linalg.norm(entries[:, k] - want[k])
+            tol = 1e-7 * np.linalg.norm(want[k]) + 1e-12 * size / steps[k]
             assert err <= tol, (plate, k, err, tol)
 
 
@@ -380,6 +448,25 @@ def test_jacobian_matches_oracle_differences(coil):
         want = (oracle_delta_l(coil, PlateParams.from_array(up), 1e3)
                 - oracle_delta_l(coil, PlateParams.from_array(dn), 1e3)) / (2 * h)
         assert abs(grad[k] - want) < 1e-6 * abs(want), k
+
+
+def test_forward_path_loads_neither_scipy_optimize_nor_integrate():
+    # scipy.optimize (the ridge search's minimize_scalar) and
+    # scipy.integrate cost about 25 MB and a quarter second to import;
+    # a forward spectrum needs only scipy.special.
+    import eddyspec
+
+    script = (
+        "import sys, eddyspec as es\n"
+        "es.delta_l_spectrum(es.CoilGeometry(), es.PlateParams(4.13e6, 222.0, 1.4e-3, 5e-3),"
+        " [1e3])\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+    )
+    src = str(Path(eddyspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 def test_impedance_to_inductance():

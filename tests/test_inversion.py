@@ -293,6 +293,25 @@ def test_underdetermined_fit_is_not_converged(coil):
     assert "2 real observations for 4 free parameters" in result.message
 
 
+def test_zero_spectrum_is_refused_as_carrying_no_signal(coil, band, monkeypatch):
+    # A t = 0 plate gives exactly zero at every frequency; no plate in the
+    # box fits that, so invert stops before spending a single spectrum.
+    import eddyspec.inversion as inv
+
+    observed = delta_l_spectrum(coil, PlateParams(4.13e6, 222.0, 0.0, 5e-3), band)
+    assert not np.any(observed.values)
+    calls = []
+    monkeypatch.setattr(inv, "delta_l_spectrum", lambda *a, **k: calls.append(a))
+    for spectrum in (observed, _spec(band, np.zeros(len(band)))):
+        result = invert(coil, spectrum)
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.residual_history == []
+        assert result.param_history == [InversionConfig().init]
+        assert "no plate signal" in result.message
+    assert calls == []
+
+
 def test_invert_takes_one_exact_jacobian_pass_per_iteration(coil, band, monkeypatch):
     # The Jacobian comes from the forward pass at the iterate itself, so
     # no spectrum is spent on difference probes; line-search spectra are

@@ -1,4 +1,4 @@
-"""Special-function and quadrature-grid checks against independent oracles.
+"""Coil-integral and quadrature-grid checks against independent oracles.
 
 Reference values come from mpmath at 40 digits and from a 1e6-panel
 midpoint rule; both were computed offline and frozen here, with live
@@ -10,72 +10,44 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate, special
 
-from eddyspec import QuadratureGrid, bessel_j0, bessel_j1, build_grid, p_integral
-
-# mpmath, 40 digits
-J0_AT_1 = 0.7651976865579665514497175261026632209093
-J1_AT_1 = 0.4400505857449335159596822037189149131274
-J0_FIRST_ROOT = 2.404825557695772768621631879326454643124
+from eddyspec import QuadratureGrid, build_grid, p_integral
+from eddyspec.specfun import panel_edges
 
 # int_0^1 x J1(x) dx: midpoint rule with 1e6 panels gives
 # 0.15453272353176178, mpmath 0.15453272353179369 (40 digits).
 XJ1_UNIT_INTEGRAL = 0.15453272353179369
 
-# J2 spot values (mpmath) feeding the recurrence cross-check.
-J2_SPOTS = {
-    0.1: 0.001248958658799918983990840292145597275369,
-    1.0: 0.1149034849319004804696468813351666053455,
-    10.0: 0.2546303136851206225317106160905006114909,
-    100.0: -0.02152875734450536558488210084939368008487,
-}
 
-
-def test_j0_values():
-    assert bessel_j0(0.0) == 1.0
-    assert abs(bessel_j0(1.0) - J0_AT_1) < 1e-10
-    assert abs(bessel_j0(J0_FIRST_ROOT)) < 1e-9
-
-
-def test_j1_values_and_oddness():
-    assert bessel_j1(0.0) == 0.0
-    assert abs(bessel_j1(1.0) - J1_AT_1) < 1e-10
-    assert bessel_j1(-1.0) == -bessel_j1(1.0)
-    x = np.linspace(-30.0, 30.0, 101)
-    np.testing.assert_allclose(bessel_j1(-x), -bessel_j1(x), rtol=0, atol=0)
-
-
-def test_bessel_absolute_error_against_mpmath():
+def test_p_integral_against_mpmath():
+    # The closed form against mpmath's quadrature of x J1(x), from the
+    # small-alpha series range out to windows about twenty periods wide.
     rng = np.random.default_rng(7)
-    xs = np.concatenate([rng.uniform(-1000.0, 1000.0, 120),
-                         [0.0, 1.0, -1.0, 999.9, -999.9]])
-    with mpmath.workdps(30):
-        for x in xs:
-            assert abs(bessel_j0(x) - float(mpmath.besselj(0, mpmath.mpf(x)))) <= 1e-10
-            assert abs(bessel_j1(x) - float(mpmath.besselj(1, mpmath.mpf(x)))) <= 1e-10
-
-
-def test_bessel_recurrence_j0_plus_j2():
-    # J0(x) + J2(x) = 2 J1(x) / x, with J2 from an order-2 evaluation that
-    # shares no code with the order-0/1 fast paths.
-    from scipy.special import jv
-
-    x = np.linspace(0.1, 100.0, 1000)
-    lhs = bessel_j0(x) + jv(2, x)
-    rhs = 2.0 * bessel_j1(x) / x
-    assert np.max(np.abs(lhs - rhs)) < 1e-8
-    for spot, ref in J2_SPOTS.items():
-        assert abs(jv(2, spot) - ref) < 1e-12
+    cases = [(a, 0.075, 0.0875) for a in 10.0 ** rng.uniform(-8, 4, 16)]
+    cases += [(a, 0.002, 0.05) for a in 10.0 ** rng.uniform(-6, 3, 8)]
+    with mpmath.workdps(20):
+        for alpha, r1, r2 in cases:
+            # subintervals about a period long keep mpmath's rule converged
+            cuts = mpmath.linspace(alpha * r1, alpha * r2, 2 + int(alpha * (r2 - r1) / 6))
+            want = float(mpmath.quad(lambda x: x * mpmath.besselj(1, x), cuts))
+            got = p_integral(alpha, r1, r2)
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-12, (alpha, r1, r2)
 
 
 def test_p_integral_zero_alpha_and_validation():
     assert p_integral(0.0, 0.075, 0.0875) == 0.0
+    alphas = np.array([0.0, 1.0, 50.0])
+    np.testing.assert_array_equal(
+        p_integral(alphas, 0.075, 0.0875), [p_integral(a, 0.075, 0.0875) for a in alphas])
     with pytest.raises(ValueError):
         p_integral(1.0, 0.0875, 0.075)
     with pytest.raises(ValueError):
         p_integral(1.0, 0.075, 0.075)
     with pytest.raises(ValueError):
         p_integral(-1.0, 0.075, 0.0875)
+    with pytest.raises(ValueError):
+        p_integral(np.array([1.0, -1.0]), 0.075, 0.0875)
 
 
 def test_p_integral_unit_window():
@@ -88,7 +60,7 @@ def test_p_integral_unit_window():
 def test_p_integral_small_alpha_leading_term():
     # x J1(x) ~ x^2/2 for small x, so P(alpha) ~ alpha^3 (r2^3 - r1^3) / 6.
     r1, r2 = 0.075, 0.0875
-    for alpha, tol in ((1e-2, 1e-4), (1e-3, 1e-6)):
+    for alpha, tol in ((1e-2, 1e-4), (1e-3, 1e-6), (1e-6, 1e-13)):
         lead = alpha**3 * (r2**3 - r1**3) / 6.0
         assert abs(p_integral(alpha, r1, r2) / lead - 1.0) < tol
 
@@ -102,48 +74,64 @@ def test_p_integral_monotone_in_r2_before_first_j1_root():
 
 
 def test_p_integral_tolerance_depth():
+    # The closed form against a deep adaptive quadrature of x J1(x).
     for alpha, r1, r2 in ((1.0, 0.075, 0.0875), (50.0, 0.075, 0.0875), (3.0, 0.5, 2.0)):
-        a = p_integral(alpha, r1, r2)
-        b = p_integral(alpha, r1, r2, rel_tol=1e-13)
-        assert abs(a - b) <= 1e-9 * abs(b)
+        b, _ = integrate.quad(lambda x: x * special.j1(x), alpha * r1, alpha * r2,
+                              epsabs=1e-15, epsrel=1e-13, limit=400)
+        assert abs(p_integral(alpha, r1, r2) - b) <= 1e-9 * abs(b)
 
 
 def test_build_grid_polynomial_exactness():
-    grid = build_grid(1.0, 16)
-    got = grid.integrate(grid.nodes**2)
-    assert abs(got - 1.0 / 3.0) < 1e-12 / 3.0
+    # 12 points per panel integrate degree 23 exactly, on any panels.
+    for edges in ([0.0, 1.0], panel_edges(1.0, 3, 1e-6)):
+        grid = build_grid(edges)
+        assert abs(grid.integrate(grid.nodes**23) - 1.0 / 24.0) < 1e-14
+        assert abs(grid.integrate(grid.nodes**2) - 1.0 / 3.0) < 1e-12 / 3.0
 
 
 def test_build_grid_counts_and_range():
-    grid = build_grid(400.0, 2048)
-    assert len(grid) == 2048
+    # 8 panels of 50; the first is halved 26 times, to 50 / 2^26 = 7.5e-7.
+    edges = panel_edges(400.0, 8, 1e-6)
+    assert edges[0] == 0.0 and edges[-1] == 400.0
+    assert edges.size == 8 + 26 + 1
+    np.testing.assert_allclose(np.diff(edges[-8:]), 50.0, rtol=1e-12)
+    np.testing.assert_allclose(edges[1:28] / 50.0, 0.5 ** np.arange(26, -1, -1), rtol=1e-15)
+    assert edges[1] <= 1e-6 < edges[2]
+    grid = build_grid(edges)
+    assert len(grid) == (8 + 26) * 12
     assert grid.nodes[0] > 0.0
     assert grid.nodes[-1] <= 400.0
     assert np.all(np.diff(grid.nodes) > 0.0)
     assert np.all(grid.weights > 0.0)
-    # remainder nodes are absorbed, the count is exact for any request
-    assert len(build_grid(400.0, 2050)) == 2050
+    assert len(build_grid(panel_edges(400.0, 20, 1e-6))) == (20 + 25) * 12
+    # a first panel already inside the floor is not split
+    assert panel_edges(2.0, 2, 1.0).tolist() == [0.0, 1.0, 2.0]
 
 
 def test_build_grid_exponential_integral():
-    grid = build_grid(50.0, 2048)
+    grid = build_grid(panel_edges(50.0, 8, 1e-6))
     exact = 1.0 - math.exp(-50.0)
-    assert abs(grid.integrate(np.exp(-grid.nodes)) - exact) < 1e-10
+    assert abs(grid.integrate(np.exp(-grid.nodes)) - exact) < 1e-14
+    # decay on any scale, as the axial factor has at any lift-off
+    for c in (1e-3, 1.0, 1e3, 1e5):
+        exact = -math.expm1(-50.0 * c)
+        assert abs(grid.integrate(c * np.exp(-c * grid.nodes)) - exact) < 1e-13 * exact, c
 
 
 def test_build_grid_integrates_constants_exactly():
-    for alpha_max, n in ((1.0, 16), (400.0, 2048), (7.5, 160)):
-        grid = build_grid(alpha_max, n)
+    for alpha_max, n in ((1.0, 1), (400.0, 8), (7.5, 10)):
+        grid = build_grid(panel_edges(alpha_max, n, 1e-6))
         assert abs(grid.integrate(np.ones(len(grid))) - alpha_max) < 1e-12 * alpha_max
 
 
 def test_build_grid_validation():
-    with pytest.raises(ValueError):
-        build_grid(0.0, 2048)
-    with pytest.raises(ValueError):
-        build_grid(-1.0, 2048)
-    with pytest.raises(ValueError):
-        build_grid(1.0, 8)
+    for alpha_max, n, alpha_min in ((0.0, 8, 1e-6), (-1.0, 8, 1e-6), (1.0, 0, 1e-6),
+                                    (1.0, 8, 0.0), (1.0, 8, 2.0)):
+        with pytest.raises(ValueError):
+            panel_edges(alpha_max, n, alpha_min)
+    for edges in ([0.0], [0.5, 1.0], [0.0, 1.0, 1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            build_grid(edges)
 
 
 def test_quadrature_grid_validation():
@@ -158,6 +146,6 @@ def test_quadrature_grid_validation():
 
 
 def test_quadrature_grid_is_frozen():
-    grid = build_grid(1.0, 16)
+    grid = build_grid([0.0, 1.0])
     with pytest.raises(ValueError):
         grid.nodes[0] = 0.5
