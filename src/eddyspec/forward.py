@@ -32,9 +32,10 @@ each of the three error sources is held far below it:
   lift-off, so it holds for every plate: beyond it A(alpha) <= 2 e^-30
   (about 2e-13), |phi| <= 1, and P^2/alpha^6 has fallen by many decades
   from its alpha -> 0 value.
-* Oscillation.  P(alpha)^2 oscillates at up to 2 r2 in alpha.  Uniform
-  panels are at most 7.5/r2 wide, and there are at least 8 of them, so
-  a 12-point panel sees about one period.  Probes with r2 up to
+* Oscillation.  P(alpha)^2 oscillates at up to 2 r2 in alpha, a period
+  of pi/r2.  Uniform panels are at most 7.5/r2 wide, and there are at
+  least 8 of them, so a 12-point panel sees at most about 2.4 periods.
+  Probes with r2 up to
   2 (h + g) and 3 r1, the reference probe and the pencil probe included,
   get exactly 8 panels; a flat pancake coil gets more.
 * Origin.  phi has its singularities near alpha = 0.  The branch points
@@ -51,7 +52,9 @@ Measured against the independent reference in ``bench/reference.py``
 and over the box's thin, resistive corners, on seven probes from a
 2 mm coil to a 50 mm pancake.  The budget is stated for the box and the
 band only: a thinner or more resistive plate, or a lower frequency,
-moves the pole below 1e-6 rad/m.
+moves the pole below 1e-6 rad/m.  At sigma = 0 and at t = 0 the pole
+reaches alpha = 0 itself, and the sigma or t column of the Jacobian is
+NaN there (see ``delta_l``).
 
 Sign conventions follow the physics: a ferromagnetic plate at low
 frequency raises the inductance (Re dL > 0), a good conductor at high
@@ -337,6 +340,14 @@ def delta_l(
         dphi/dE = u v (v^2 - u^2) / D^2
         dalpha1/dk^2 = j / (2 alpha1),  k^2 = omega sigma mu_r mu0
         dE/dt = -2 alpha1 E,  dA/dl = -2 alpha A,  du/dmu_r = dv/dmu_r = alpha
+
+    Two entries are NaN, because dL has no derivative there: the sigma
+    entry at sigma = 0 (t > 0) and the t entry at t = 0 (sigma > 0).  At
+    those points the sigma or t kernel goes as 1/alpha near alpha = 0, so
+    dL - dL(0) goes as x log x in that parameter x.  The imaginary part
+    of the slope grows without bound as x -> 0; the real part has a limit,
+    but it comes from a pole at alpha = 0 that no grid resolves.  A
+    finite number there would only tell where the lowest node sits.
     """
     if freq <= 0.0:
         raise ValueError(f"frequency must be positive, got {freq}")
@@ -365,6 +376,10 @@ def delta_l(
         sums[2],
         -2.0 * sums[3],
     ])
+    if plate.sigma == 0.0 and plate.t > 0.0:
+        grad[0] = complex(math.nan, math.nan)
+    if plate.t == 0.0 and plate.sigma > 0.0:
+        grad[2] = complex(math.nan, math.nan)
     return complex(weights @ ph), grad
 
 
@@ -378,7 +393,9 @@ def delta_l_spectrum(
 
     With ``jacobian`` the return value is (spectrum, entries): entries is
     the exact (2m, 4) Jacobian of ``spectrum.stacked`` with respect to
-    (sigma, mu_r, t, l), from the same pass over the kernel.
+    (sigma, mu_r, t, l), from the same pass over the kernel.  Its sigma
+    column is NaN at sigma = 0 and its t column at t = 0, where dL has
+    no derivative (see ``delta_l``).
     """
     nodes, coil_weights = coil_grid(coil)
     weights = coil_weights * a_factor(nodes, coil, plate.l)

@@ -111,6 +111,10 @@ class ParamBounds:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"bounds for {name} must satisfy lower < upper")
+            # The solver steps relative to each parameter, and the
+            # Jacobian has no sigma or t column at 0.
+            if not lo > 0.0:
+                raise ValueError(f"lower bound for {name} must be positive, got {lo}")
 
     def lower(self) -> np.ndarray:
         return np.array([self.sigma[0], self.mu_r[0], self.t[0], self.l[0]])

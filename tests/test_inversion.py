@@ -207,6 +207,9 @@ def test_inversion_config_validation():
 def test_param_bounds():
     with pytest.raises(ValueError):
         ParamBounds(sigma=(1e8, 1e4))
+    for name in ("sigma", "t"):
+        with pytest.raises(ValueError, match=f"lower bound for {name} must be positive"):
+            ParamBounds(**{name: (0.0, 1.0)})
     b = ParamBounds()
     assert b.contains(InversionConfig().init)
     clamped = b.clamp(PlateParams(sigma=1e9, mu_r=1.0, t=2e-3, l=1.0))
