@@ -460,22 +460,26 @@ def test_jacobian_matches_oracle_differences(coil):
 
 
 def test_forward_path_loads_neither_scipy_optimize_nor_integrate():
-    # scipy.optimize (the ridge search's minimize_scalar) and
-    # scipy.integrate cost about 25 MB and a quarter second to import;
-    # a forward spectrum needs only scipy.special.
+    # scipy.optimize and scipy.integrate cost about 25 MB and a quarter
+    # second to import; a forward spectrum needs only scipy.special, and
+    # so does a noiseless fit, ridge and all.
     import eddyspec
 
     script = (
         "import sys, eddyspec as es\n"
-        "es.delta_l_spectrum(es.CoilGeometry(), es.PlateParams(4.13e6, 222.0, 1.4e-3, 5e-3),"
-        " [1e3])\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+        "loaded = lambda: sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
+        " if m in sys.modules)\n"
+        "coil, band = es.CoilGeometry(), es.default_frequencies()\n"
+        "clean = es.delta_l_spectrum(coil, es.PlateParams(4.13e6, 222.0, 1.4e-3, 5e-3), band)\n"
+        "print(loaded())\n"
+        "assert es.invert(coil, clean).converged\n"
+        "print(loaded())\n"
     )
     src = str(Path(eddyspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+    assert out.stdout.split() == ["[]", "[]"], out.stdout + out.stderr
 
 
 def test_impedance_to_inductance():
