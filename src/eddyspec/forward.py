@@ -23,8 +23,10 @@ plate parameters, which is what the solver uses as its Jacobian.
 Quadrature and its error budget.  The integral runs over (0, alpha_max]
 on a composite 12-point Gauss-Legendre grid (layout in ``specfun``): n
 equal panels, the first of them halved toward alpha = 0 until its
-innermost edge is at or below 1e-6 rad/m.  P(alpha) comes from its closed
-form in one vectorised call.  The budget is 1e-10 of the spectrum's peak
+innermost edge is at or below 1e-6 rad/m.  P(alpha) comes from a power
+series and an exponentially convergent midpoint rule (``specfun``), in
+one vectorised call, within a few units of rounding of its value on the
+grid.  The budget is 1e-10 of the spectrum's peak
 |dL| for every plate in the ``ParamBounds`` box at 10 Hz - 1 MHz, and
 each of the three error sources is held far below it:
 
@@ -176,6 +178,19 @@ class PlateParams:
         return PlateParams(sigma=sigma, mu_r=mu_r, t=t, l=l)
 
 
+def _check_frequencies(freqs: np.ndarray) -> None:
+    """Raise ValueError unless ``freqs`` is 1-d, finite, positive and
+    strictly increasing.  Spectrum values may be non-finite (``invert``
+    refuses such data itself); frequencies may not."""
+    if freqs.ndim != 1:
+        raise ValueError("frequencies must be a 1-d array")
+    bad = freqs[~((freqs > 0.0) & (freqs < np.inf))]
+    if bad.size:
+        raise ValueError(f"frequencies must be finite and strictly positive, got {bad}")
+    if np.any(np.diff(freqs) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class InductanceSpectrum:
     """Complex inductance change sampled on a strictly increasing frequency grid."""
@@ -186,13 +201,9 @@ class InductanceSpectrum:
     def __post_init__(self):
         freqs = np.array(self.freqs, dtype=float)
         values = np.array(self.values, dtype=complex)
-        if freqs.ndim != 1 or freqs.shape != values.shape:
+        if freqs.shape != values.shape:
             raise ValueError("freqs and values must be matching 1-d arrays")
-        if freqs.size:
-            if freqs[0] <= 0.0:
-                raise ValueError("frequencies must be strictly positive")
-            if np.any(np.diff(freqs) <= 0.0):
-                raise ValueError("frequencies must be strictly increasing")
+        _check_frequencies(freqs)
         freqs.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
@@ -213,8 +224,8 @@ def default_frequencies(
     m: int = DEFAULT_N_FREQS,
 ) -> np.ndarray:
     """Log-spaced measurement frequencies in Hz."""
-    if not 0.0 < fmin < fmax:
-        raise ValueError("need 0 < fmin < fmax")
+    if not 0.0 < fmin < fmax < math.inf:
+        raise ValueError(f"need 0 < fmin < fmax < inf, got {fmin}, {fmax}")
     if m < 1:
         raise ValueError("need at least one frequency")
     if m == 1:
@@ -349,8 +360,8 @@ def delta_l(
     but it comes from a pole at alpha = 0 that no grid resolves.  A
     finite number there would only tell where the lowest node sits.
     """
-    if freq <= 0.0:
-        raise ValueError(f"frequency must be positive, got {freq}")
+    if not 0.0 < freq < math.inf:
+        raise ValueError(f"frequency must be finite and positive, got {freq}")
     if weights.shape != nodes.shape:
         raise ValueError("weights are not aligned with the quadrature nodes")
     omega = 2.0 * math.pi * freq
@@ -397,9 +408,10 @@ def delta_l_spectrum(
     column is NaN at sigma = 0 and its t column at t = 0, where dL has
     no derivative (see ``delta_l``).
     """
+    f = np.asarray(freqs, dtype=float)
+    _check_frequencies(f)
     nodes, coil_weights = coil_grid(coil)
     weights = coil_weights * a_factor(nodes, coil, plate.l)
-    f = np.asarray(freqs, dtype=float)
     if not jacobian:
         values = np.array([delta_l(plate, fk, nodes, weights) for fk in f], dtype=complex)
         return InductanceSpectrum(freqs=f, values=values)
@@ -416,6 +428,6 @@ def impedance_to_inductance(z: complex, z_air: complex, freq: float) -> complex:
     dL = (z - z_air) / (j 2 pi f); equivalently Re dL = Im(z - z_air)/(2 pi f)
     and Im dL = -Re(z - z_air)/(2 pi f).
     """
-    if freq <= 0.0:
-        raise ValueError(f"frequency must be positive, got {freq}")
+    if not 0.0 < freq < math.inf:
+        raise ValueError(f"frequency must be finite and positive, got {freq}")
     return (complex(z) - complex(z_air)) / (1j * 2.0 * math.pi * freq)

@@ -50,7 +50,8 @@ def oracle_delta_l(coil, plate, freq):
     P comes from an adaptive quad of x J1(x) inside an adaptive quad over
     the spatial frequency to infinity, Re and Im integrated separately.
     The production evaluator uses a fixed graded Gauss-Legendre grid with
-    P in closed form, so agreement is a genuine cross-check.
+    P from a power series and a midpoint rule on Bessel's integral, so
+    agreement is a genuine cross-check.
     """
     k = math.pi * MU0 * coil.n_turns**2 / (coil.h**2 * (coil.r2 - coil.r1) ** 2)
     w = 2.0 * math.pi * freq

@@ -91,6 +91,16 @@ def test_forward_missing_plate_file(tmp_path, capsys):
     assert "eddyspec forward:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("band", [["--freqs-hz", "1e3,inf"], ["--freqs-hz", "1e3,inf,inf"],
+                                  ["--freqs-hz", "nan"], ["--fmax-hz", "inf", "--m", "3"]])
+def test_forward_non_finite_frequency_is_an_error(tmp_path, plate_cfg, capsys, band):
+    out = tmp_path / "dl.csv"
+    code = main(["forward", "--plate", str(plate_cfg), "--out", str(out)] + band)
+    assert code == 1
+    assert "eddyspec forward:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [plate_cfg]
+
+
 # --------------------------------------------------------------------- synth
 
 

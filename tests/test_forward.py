@@ -84,6 +84,12 @@ def test_spectrum_stacked_layout_and_validation():
         InductanceSpectrum(freqs=[0.0, 1.0], values=[0j, 0j])
     with pytest.raises(ValueError):
         InductanceSpectrum(freqs=[1.0, 2.0], values=[0j])
+    for freqs in ([1.0, math.inf], [math.nan, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            InductanceSpectrum(freqs=freqs, values=[0j, 0j])
+    # values may be non-finite: invert reports such data as not converged
+    s = InductanceSpectrum(freqs=[1.0, 2.0], values=[complex(math.nan, 0.0), math.inf])
+    assert not np.any(np.isfinite(s.values))
 
 
 def test_default_frequencies():
@@ -97,6 +103,9 @@ def test_default_frequencies():
         default_frequencies(100.0, 10.0)
     with pytest.raises(ValueError):
         default_frequencies(m=0)
+    for fmin, fmax in ((100.0, math.inf), (math.nan, 1e5), (100.0, math.nan)):
+        with pytest.raises(ValueError):
+            default_frequencies(fmin, fmax, 3)
 
 
 def test_alpha1_zero_conductivity_is_alpha():
@@ -335,6 +344,13 @@ def test_delta_l_input_validation(coil):
         delta_l(plate, 0.0, nodes, weights)
     with pytest.raises(ValueError):
         delta_l(plate, 1e3, nodes, weights[:-1])
+    for freq in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            delta_l(plate, freq, nodes, weights)
+    for freqs in ([math.nan], [1e3, math.inf], [math.inf, math.inf], [1e3, 0.5e3]):
+        for jacobian in (False, True):
+            with pytest.raises(ValueError):
+                delta_l_spectrum(coil, plate, freqs, jacobian=jacobian)
 
 
 def test_empty_frequency_list(coil):
@@ -459,27 +475,36 @@ def test_jacobian_matches_oracle_differences(coil):
         assert abs(grad[k] - want) < 1e-6 * abs(want), k
 
 
-def test_forward_path_loads_neither_scipy_optimize_nor_integrate():
-    # scipy.optimize and scipy.integrate cost about 25 MB and a quarter
-    # second to import; a forward spectrum needs only scipy.special, and
-    # so does a noiseless fit, ridge and all.
+def test_package_runs_without_scipy(tmp_path):
+    # The runtime needs numpy alone; scipy is a test oracle.  With every
+    # scipy import blocked, a spectrum and its Jacobian, a noiseless fit
+    # and the command line still work, and no scipy module gets loaded.
     import eddyspec
 
+    plate_cfg = tmp_path / "plate.cfg"
+    plate_cfg.write_text("sigma_msm = 4\nmu_r = 150\nt_mm = 2\nliftoff_mm = 8\n")
+    out = tmp_path / "dl.csv"
     script = (
-        "import sys, eddyspec as es\n"
-        "loaded = lambda: sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
-        " if m in sys.modules)\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import eddyspec as es, eddyspec.cli\n"
         "coil, band = es.CoilGeometry(), es.default_frequencies()\n"
-        "clean = es.delta_l_spectrum(coil, es.PlateParams(4.13e6, 222.0, 1.4e-3, 5e-3), band)\n"
-        "print(loaded())\n"
+        "plate = es.PlateParams(4.13e6, 222.0, 1.4e-3, 5e-3)\n"
+        "clean, entries = es.delta_l_spectrum(coil, plate, band, jacobian=True)\n"
+        "assert entries.shape == (60, 4)\n"
         "assert es.invert(coil, clean).converged\n"
-        "print(loaded())\n"
+        f"assert eddyspec.cli.main(['forward', '--plate', {str(plate_cfg)!r},"
+        f" '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " and sys.modules[m] is not None))\n"
     )
     src = str(Path(eddyspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["[]", "[]"], out.stdout + out.stderr
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout + run.stderr
+    assert len(eddyspec.load_spectrum(out)) == DEFAULT_N_FREQS
 
 
 def test_impedance_to_inductance():

@@ -21,13 +21,20 @@ XJ1_UNIT_INTEGRAL = 0.15453272353179369
 
 
 def test_p_integral_against_mpmath():
-    # The closed form against mpmath's quadrature of x J1(x), from the
-    # small-alpha series range out to windows about twenty periods wide,
-    # relative to the value alone (P ~ alpha^3 r^3 / 6 gets tiny).  At 20
-    # digits mpmath's quadrature itself misses narrow windows by 4e-11.
+    # P against mpmath's quadrature of x J1(x), from the small-alpha
+    # series range out to windows about twenty periods wide, relative to
+    # the value alone (P ~ alpha^3 r^3 / 6 gets tiny).  At 20 digits
+    # mpmath's quadrature itself misses narrow windows by 4e-11.  Also
+    # either end of the window at the series/midpoint switch x = 2.
     rng = np.random.default_rng(7)
     cases = [(a, 0.075, 0.0875) for a in 10.0 ** rng.uniform(-8, 4, 16)]
     cases += [(a, 0.002, 0.05) for a in 10.0 ** rng.uniform(-6, 3, 8)]
+    for r1, r2 in ((0.075, 0.0875), (0.005, 0.05)):
+        cases += [(x / r, r1, r2) for r in (r1, r2) for x in (1.999, 2.0, 2.001)]
+    # a 50 mm pancake coil from 1 rad/m up to its 15000 rad/m cut, windows
+    # up to 110 periods wide (x up to 750)
+    pancake = [(a, 0.005, 0.05) for a in 10.0 ** rng.uniform(0, math.log10(15000), 8)]
+    pancake += [(15000.0, 0.005, 0.05)]
     with mpmath.workdps(30):
         for alpha, r1, r2 in cases:
             # subintervals about a period long keep mpmath's rule converged
@@ -35,11 +42,26 @@ def test_p_integral_against_mpmath():
             want = float(mpmath.quad(lambda x: x * mpmath.besselj(1, x), cuts))
             got = p_integral(alpha, r1, r2)
             assert abs(got - want) <= 1e-12 * abs(want), (alpha, r1, r2)
+        # mpmath's Struve closed form: it agrees with the quadrature to 30
+        # digits where both run, and takes milliseconds where the
+        # quadrature of a wide window takes seconds
+        for alpha, r1, r2 in pancake:
+            want = float(_mp_xj1_integral(alpha * r2) - _mp_xj1_integral(alpha * r1))
+            got = p_integral(alpha, r1, r2)
+            assert abs(got - want) <= 1e-12 * abs(want), (alpha, r1, r2)
+
+
+def _mp_xj1_integral(x):
+    """int_0^x s J1(s) ds = (pi x / 2) [J1(x) H0(x) - J0(x) H1(x)], H = Struve."""
+    x = mpmath.mpf(x)
+    return mpmath.pi * x / 2 * (mpmath.besselj(1, x) * mpmath.struveh(0, x)
+                                - mpmath.besselj(0, x) * mpmath.struveh(1, x))
 
 
 def test_p_integral_zero_alpha_and_validation():
     assert p_integral(0.0, 0.075, 0.0875) == 0.0
-    alphas = np.array([0.0, 1.0, 50.0])
+    # a value must not depend on the rest of the call (x = 2 is at 23-27 rad/m)
+    alphas = np.array([0.0, 1.0, 22.9, 26.7, 50.0, 666.0, 9999.0])
     np.testing.assert_array_equal(
         p_integral(alphas, 0.075, 0.0875), [p_integral(a, 0.075, 0.0875) for a in alphas])
     with pytest.raises(ValueError):
@@ -48,8 +70,9 @@ def test_p_integral_zero_alpha_and_validation():
         p_integral(1.0, 0.075, 0.075)
     with pytest.raises(ValueError):
         p_integral(-1.0, 0.075, 0.0875)
-    with pytest.raises(ValueError):
-        p_integral(np.array([1.0, -1.0]), 0.075, 0.0875)
+    for bad in (np.array([1.0, -1.0]), math.inf, math.nan):
+        with pytest.raises(ValueError):
+            p_integral(bad, 0.075, 0.0875)
 
 
 def test_p_integral_unit_window():
