@@ -11,34 +11,25 @@ All internal quantities are strict SI (m, S/m, H, Hz).  Millimetres and
 MS/m appear only at the file-format and command-line boundary.
 """
 
-from .specfun import QuadratureGrid, build_grid, p_integral
+from .specfun import build_grid, p_integral
 from .forward import (
     MU0,
     CoilGeometry,
     InductanceSpectrum,
     PlateParams,
     alpha1,
-    a_factor,
-    coil_constant,
     coil_grid,
     default_frequencies,
     delta_l,
     delta_l_spectrum,
     impedance_to_inductance,
-    truncation_alpha_max,
 )
 from .sensitivity import PARAM_NAMES, JacobianMatrix, jacobian, sensitivity_spectrum
 from .inversion import (
     InversionConfig,
-    InversionResult,
     ParamBounds,
-    RankDegeneracyError,
-    SingularSystemError,
-    dynamic_rank_mask,
-    gauss_newton_step,
     inversion_report,
     invert,
-    objective,
 )
 from .dataio import (
     ConfigFormatError,
@@ -59,35 +50,25 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MU0",
-    "QuadratureGrid",
     "build_grid",
     "p_integral",
     "CoilGeometry",
     "PlateParams",
     "InductanceSpectrum",
     "alpha1",
-    "a_factor",
-    "coil_constant",
     "coil_grid",
     "default_frequencies",
     "delta_l",
     "delta_l_spectrum",
     "impedance_to_inductance",
-    "truncation_alpha_max",
     "PARAM_NAMES",
     "JacobianMatrix",
     "jacobian",
     "sensitivity_spectrum",
     "InversionConfig",
-    "InversionResult",
     "ParamBounds",
-    "RankDegeneracyError",
-    "SingularSystemError",
-    "dynamic_rank_mask",
-    "gauss_newton_step",
     "inversion_report",
     "invert",
-    "objective",
     "ConfigFormatError",
     "NoiseModel",
     "SpectrumFormatError",

@@ -312,6 +312,13 @@ def cmd_invert(args) -> int:
     coil = _load_coil(args.coil)
     observed = load_spectrum(args.spectrum)
     truth = load_plate_config(args.truth) if args.truth else None
+    if truth is not None:
+        # The report scores the fit relative to the truth; mu_r >= 1 and
+        # l > 0 already, but a plate config may give sigma or t as 0.
+        for key, value in (("sigma_msm", truth.sigma), ("t_mm", truth.t)):
+            if value == 0.0:
+                raise ValueError(f"truth {key} is 0, so the relative error against it "
+                                 "is undefined; choose a nonzero truth value")
     cfg = _resolve_inversion_config(args)
     t0 = time.perf_counter()
     result = invert(coil, observed, cfg)

@@ -56,27 +56,17 @@ __all__ = [
     "ParamBounds",
     "InversionConfig",
     "InversionResult",
-    "SingularSystemError",
     "RankDegeneracyError",
     "objective",
     "dynamic_rank_mask",
-    "gauss_newton_step",
     "invert",
     "inversion_report",
 ]
 
 
-class SingularSystemError(RuntimeError):
-    """Reduced normal matrix is numerically singular; tighten the rank threshold."""
-
-
 class RankDegeneracyError(RuntimeError):
     """Every Jacobian column is negligible; the data constrain nothing."""
 
-
-# Condition estimate above which the reduced normal matrix is treated as
-# singular rather than solved.
-_COND_LIMIT = 1e14
 
 # Scaled singular values below this fraction of the largest span the
 # "ridge": the near-degenerate combination(s) the band barely sees.  The
@@ -87,6 +77,11 @@ _RIDGE_CUT = 1e-3
 # The stiff phase ends when its relative step drops below this; past
 # that point the remaining misfit lives along the ridge.
 _STIFF_DONE = 1e-3
+
+# A smallest scaled singular value below this fraction of the largest
+# makes the full step numerically singular (a condition number above
+# 1e14 for the normal matrix); the ridge is then frozen instead.
+_SINGULAR_CUT = 1e-7
 
 # Ridge moves must promise at least this fraction of the current misfit,
 # else the direction is treated as unsupported by the data and frozen.
@@ -160,12 +155,14 @@ class InversionConfig:
 
 @dataclass
 class InversionResult:
-    """Solver outcome plus the full iteration trace.
+    """Solver outcome plus the iteration trace.
 
-    ``residual_history`` holds the misfit at the start and after every
-    accepted step (non-increasing by construction); ``rank_masks`` and
-    ``step_history`` hold one entry per accepted step; ``param_history``
-    holds the iterate trace starting at the initial guess.
+    ``iterations`` counts accepted steps.  ``residual_history`` holds the
+    misfit at the start and after every accepted step (strictly
+    decreasing by construction), ``param_history`` the iterates from the
+    initial guess on, and ``rank_masks`` the retained-column mask each
+    accepted step was taken with.  ``message`` says why the solver
+    stopped, whether or not it ``converged``.
     """
 
     params: PlateParams
@@ -173,7 +170,6 @@ class InversionResult:
     iterations: int
     residual_history: list
     rank_masks: list
-    step_history: list
     param_history: list
     message: str = ""
 
@@ -204,41 +200,9 @@ def dynamic_rank_mask(j: JacobianMatrix, threshold: float = 1e-6):
     return tuple(bool(b) for b in colmax >= threshold * gmax)
 
 
-def gauss_newton_step(
-    j: JacobianMatrix,
-    residual: np.ndarray,
-    mask=(True, True, True, True),
-    scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gauss-Newton update from the normal equations on retained columns.
-
-    ``residual`` is model minus observation (stacked); the returned
-    4-vector is the additive parameter update, exactly zero in masked
-    slots.  The solve runs on columns scaled by ``scale`` (current
-    parameter values by default) and is unscaled afterward; the result is
-    invariant to that choice up to roundoff.
-    """
-    r = np.asarray(residual, dtype=float)
-    if r.shape != (j.entries.shape[0],):
-        raise ValueError("residual length does not match the Jacobian")
-    keep = np.asarray(mask, dtype=bool)
-    if keep.shape != (4,):
-        raise ValueError("mask must have four entries")
-    if not keep.any():
-        raise ValueError("mask retains no columns")
-    s = j.reference.as_array() if scale is None else np.asarray(scale, dtype=float)
-    if s.shape != (4,) or np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-        raise ValueError("scale must be a positive finite 4-vector")
-    js = j.entries[:, keep] * s[keep]
-    normal = js.T @ js
-    if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > _COND_LIMIT:
-        raise SingularSystemError(
-            "reduced normal matrix is numerically singular; tighten the rank threshold"
-        )
-    y = np.linalg.solve(normal, -(js.T @ r))
-    delta = np.zeros(4)
-    delta[keep] = y * s[keep]
-    return delta
+def _svd_step(u, sv, vt, r, n):
+    """Least-squares step -V Sigma^-1 U^T r on the leading ``n`` singular directions."""
+    return -(vt[:n].T @ ((u[:, :n].T @ r) / sv[:n]))
 
 
 def invert(
@@ -250,9 +214,9 @@ def invert(
 
     Never raises on poor data: non-finite observations, a spectrum that
     is zero everywhere, fewer observations than free parameters, rank
-    degeneracy, a singular solve, a stalled line search or running out of
-    iterations all come back as ``converged=False`` with the reason in
-    ``message``.
+    degeneracy, a near-singular full system, a stalled line search or
+    running out of iterations all come back as ``converged=False`` with
+    the reason in ``message``.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -282,7 +246,6 @@ def invert(
             iterations=0,
             residual_history=[],
             rank_masks=[],
-            step_history=[],
             param_history=[p],
             message=refusal,
         )
@@ -294,7 +257,6 @@ def invert(
 
     residual_history = [misfit]
     rank_masks: list = []
-    step_history: list = []
     param_history = [p]
     converged = False
     message = "maximum iterations reached"
@@ -322,42 +284,33 @@ def invert(
         u, sv, vt = np.linalg.svd(scaled, full_matrices=False)
         n_ridge = int(np.sum(sv < _RIDGE_CUT * sv[0]))
         n_stiff = sv.size - n_ridge
-        y_stiff = -(vt[:n_stiff].T @ ((u[:, :n_stiff].T @ r) / sv[:n_stiff]))
-        stiff_step = np.zeros(4)
-        stiff_step[keep] = y_stiff * p_arr[keep]
-        stiff_small = float(np.linalg.norm(stiff_step / p_arr)) < cfg.step_tol
+        y_stiff = _svd_step(u, sv, vt, r, n_stiff)
+        stiff_norm = float(np.linalg.norm(y_stiff))
         # Misfit the ridge directions could remove, were they trusted.
         ridge_gain = 0.5 * float(np.sum((u[:, n_stiff:].T @ r) ** 2))
 
-        if n_ridge and float(np.linalg.norm(y_stiff)) >= _STIFF_DONE:
-            step, log_step = stiff_step, False
-        elif n_ridge and ridge_gain < _RIDGE_GAIN * misfit:
+        if n_ridge and stiff_norm >= _STIFF_DONE:
+            y, log_step = y_stiff, False
+        elif n_ridge and (
+            ridge_gain < _RIDGE_GAIN * misfit or sv[-1] < _SINGULAR_CUT * sv[0]
+        ):
             # The ridge cannot pay for itself: its predicted gain is
-            # buried in the residual (noise) floor.  Freeze it and
-            # converge on the identifiable combinations alone.
-            if stiff_small:
+            # buried in the residual (noise) floor, or it is too flat for
+            # the full step to resolve.  Freeze it and converge on the
+            # identifiable combinations alone.
+            if stiff_norm < cfg.step_tol:
                 converged = True
                 message = "update below step tolerance (ridge frozen)"
                 break
-            step, log_step = stiff_step, False
+            y, log_step = y_stiff, False
         else:
-            try:
-                full_step = gauss_newton_step(jac, r, mask)
-            except SingularSystemError:
-                # The ridge is flat enough to make the full normal
-                # system numerically singular; keep going on the stiff
-                # subspace, which is all the data can pay for anyway.
-                if stiff_small:
-                    converged = True
-                    message = "update below step tolerance (ridge frozen)"
-                    break
-                step, log_step = stiff_step, False
-            else:
-                if float(np.linalg.norm(full_step / p_arr)) < cfg.step_tol:
-                    converged = True
-                    message = "update below step tolerance"
-                    break
-                step, log_step = full_step, True
+            y, log_step = _svd_step(u, sv, vt, r, sv.size), True
+            if float(np.linalg.norm(y)) < cfg.step_tol:
+                converged = True
+                message = "update below step tolerance"
+                break
+        step = np.zeros(4)
+        step[keep] = y * p_arr[keep]
 
         # Components pushing outward at an active bound cannot move; drop
         # them so the line search explores the remaining directions.
@@ -399,7 +352,6 @@ def invert(
         accepted += 1
         residual_history.append(misfit)
         rank_masks.append(mask)
-        step_history.append(rel_step)
         param_history.append(p)
 
         if rel_step < cfg.step_tol:
@@ -420,7 +372,6 @@ def invert(
         iterations=accepted,
         residual_history=residual_history,
         rank_masks=rank_masks,
-        step_history=step_history,
         param_history=param_history,
         message=message,
     )

@@ -42,14 +42,11 @@ class JacobianMatrix:
     ``entries`` has one row per stacked observation (all real parts, then
     all imaginary parts) and one column per parameter in PARAM_NAMES
     order.  The reference parameters the columns were built at ride along
-    for scaling and masking downstream, and so do the perturbation
-    fractions of a finite-difference Jacobian; they are None for the
-    exact one of ``delta_l_spectrum(..., jacobian=True)``.
+    for scaling and masking downstream.
     """
 
     entries: np.ndarray
     reference: PlateParams
-    perturbation_fractions: np.ndarray | None = None
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
@@ -61,12 +58,6 @@ class JacobianMatrix:
             raise ValueError("Jacobian entries must all be finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        if self.perturbation_fractions is not None:
-            fractions = np.array(self.perturbation_fractions, dtype=float)
-            if fractions.shape != (4,):
-                raise ValueError("perturbation_fractions must have four entries")
-            fractions.flags.writeable = False
-            object.__setattr__(self, "perturbation_fractions", fractions)
 
 
 def _check_fractions(fractions: np.ndarray):
@@ -110,7 +101,7 @@ def jacobian(
         pk[k] += step
         pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
         cols[:, k] = (pert.stacked - base_vec) / step
-    return JacobianMatrix(entries=cols, perturbation_fractions=fr, reference=ref)
+    return JacobianMatrix(entries=cols, reference=ref)
 
 
 def sensitivity_spectrum(

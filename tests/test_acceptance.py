@@ -14,12 +14,10 @@ from eddyspec import (
     PlateParams,
     alpha1,
     delta_l_spectrum,
-    dynamic_rank_mask,
-    gauss_newton_step,
     jacobian,
 )
 from eddyspec.forward import phi
-from eddyspec.sensitivity import JacobianMatrix
+from eddyspec.inversion import _svd_step, dynamic_rank_mask
 from eddyspec.samples import dp600, dp800, dp1000
 
 from conftest import oracle_delta_l
@@ -167,17 +165,15 @@ def test_criterion_6_skin_effect_rank_degeneracy(coil, hf_band_run):
 
 
 def test_criterion_7_linear_algebra_oracle():
+    # invert's full step: the SVD of the column-scaled system, unscaled.
     rng = np.random.default_rng(20260822)
-    ones = PlateParams(sigma=1.0, mu_r=1.0, t=1.0, l=1.0)
     worst = 0.0
     for _ in range(50):
         entries = rng.standard_normal((20, 4))
         resid = rng.standard_normal(20)
         scale = 10.0 ** rng.uniform(-3, 3, 4)
-        jm = JacobianMatrix(
-            entries=entries, perturbation_fractions=np.full(4, 0.01), reference=ones
-        )
-        got = gauss_newton_step(jm, resid, scale=scale)
+        u, sv, vt = np.linalg.svd(entries * scale, full_matrices=False)
+        got = _svd_step(u, sv, vt, resid, 4) * scale
         with mp.workdps(50):
             a = mp.matrix([[mp.mpf(entries[i, j]) for j in range(4)] for i in range(20)])
             ata = a.T * a

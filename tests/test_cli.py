@@ -172,6 +172,29 @@ def test_invert_round_trip(tmp_path, plate_cfg, capsys):
     assert man["inputs"]["spectrum"] == str(spec_csv)
 
 
+@pytest.mark.parametrize("key", ["sigma_msm", "t_mm"])
+def test_invert_zero_truth_is_a_usage_error(tmp_path, plate_cfg, capsys, key):
+    # error_pct divides by the truth: a zero there would write Infinity,
+    # which is not JSON.
+    spec_csv = tmp_path / "dl.csv"
+    assert main(["forward", "--plate", str(plate_cfg), "--out", str(spec_csv),
+                 "--m", "6"]) == 0
+    truth = tmp_path / "zero.cfg"
+    truth.write_text("\n".join(
+        f"{key} = 0" if line.startswith(key) else line
+        for line in EXACT_PLATE_CFG.splitlines()
+    ) + "\n")
+    capsys.readouterr()
+    report_json = tmp_path / "fit.json"
+    code = main(["invert", "--spectrum", str(spec_csv), "--truth", str(truth),
+                 "--out", str(report_json)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"truth {key} is 0" in captured.err
+    assert captured.out == ""
+    assert not report_json.exists()
+
+
 def test_invert_iteration_cap_exit_code(tmp_path, plate_cfg, capsys):
     spec_csv = tmp_path / "dl.csv"
     assert main(["forward", "--plate", str(plate_cfg), "--out", str(spec_csv)]) == 0

@@ -19,19 +19,22 @@ from eddyspec import (
     InductanceSpectrum,
     ParamBounds,
     PlateParams,
-    a_factor,
     alpha1,
     build_grid,
-    coil_constant,
     coil_grid,
     default_frequencies,
     delta_l,
     delta_l_spectrum,
     impedance_to_inductance,
     p_integral,
+)
+from eddyspec.forward import (
+    DEFAULT_N_FREQS,
+    a_factor,
+    coil_constant,
+    phi,
     truncation_alpha_max,
 )
-from eddyspec.forward import DEFAULT_N_FREQS, phi
 from eddyspec.specfun import panel_edges
 from eddyspec.samples import dp600, dp800, dp1000
 

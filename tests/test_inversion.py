@@ -1,5 +1,5 @@
-"""Inversion tests: the misfit functional, rank masking, the masked
-Gauss-Newton solve against an extended-precision oracle, and full solver
+"""Inversion tests: the misfit functional, rank masking, the
+Gauss-Newton step from the scaled Jacobian's SVD, and full solver
 behavior on clean, noisy, and degenerate spectra."""
 
 import numpy as np
@@ -11,18 +11,15 @@ from eddyspec import (
     NoiseModel,
     ParamBounds,
     PlateParams,
-    RankDegeneracyError,
-    SingularSystemError,
     add_noise,
     delta_l_spectrum,
-    dynamic_rank_mask,
-    gauss_newton_step,
     invert,
     inversion_report,
     jacobian,
-    objective,
 )
+from eddyspec.inversion import RankDegeneracyError, _svd_step, dynamic_rank_mask, objective
 from eddyspec.samples import dp600
+from eddyspec.sensitivity import JacobianMatrix
 
 # Misfit between the DP600 truth spectrum and the default initial guess
 # over the default band, frozen from an independent evaluation.
@@ -32,11 +29,13 @@ _ONES = PlateParams(sigma=1.0, mu_r=1.0, t=1.0, l=1.0)
 
 
 def _raw_jac(entries):
-    from eddyspec.sensitivity import JacobianMatrix
+    return JacobianMatrix(entries=entries, reference=_ONES)
 
-    return JacobianMatrix(
-        entries=entries, perturbation_fractions=np.full(4, 0.01), reference=_ONES
-    )
+
+def _step(entries, r, scale=np.ones(4), n=4):
+    """Additive step from the SVD of the column-scaled system, unscaled."""
+    u, sv, vt = np.linalg.svd(entries * scale, full_matrices=False)
+    return _svd_step(u, sv, vt, r, n) * scale
 
 
 def _spec(freqs, values):
@@ -93,11 +92,7 @@ def test_rank_mask_scaling_by_reference():
     # raw column sizes equal, but the reference value weights them
     entries = np.ones((8, 4))
     ref = PlateParams(sigma=1.0, mu_r=1.0, t=1e-9, l=1.0)
-    from eddyspec.sensitivity import JacobianMatrix
-
-    j = JacobianMatrix(
-        entries=entries, perturbation_fractions=np.full(4, 0.01), reference=ref
-    )
+    j = JacobianMatrix(entries=entries, reference=ref)
     assert dynamic_rank_mask(j) == (True, True, False, True)
 
 
@@ -117,7 +112,7 @@ def test_rank_mask_drops_thickness_above_skin_depth(coil):
     assert dynamic_rank_mask(j, 1e-6) == (True, True, False, True)
 
 
-# ---------------------------------------------------------- gauss_newton_step
+# ------------------------------------------------------------------ svd step
 
 
 def test_step_diagonal_system():
@@ -125,21 +120,10 @@ def test_step_diagonal_system():
     entries = np.zeros((8, 4))
     entries[:4] = np.diag(d)
     r = np.array([1.0, -2.0, 3.0, -4.0, 0.0, 0.0, 0.0, 0.0])
-    delta = gauss_newton_step(_raw_jac(entries), r)
-    np.testing.assert_allclose(delta, -r[:4] / d, rtol=1e-12)
-
-
-def test_step_masked_slot_exactly_zero():
-    rng = np.random.default_rng(3)
-    entries = rng.standard_normal((12, 4))
-    r = rng.standard_normal(12)
-    delta = gauss_newton_step(_raw_jac(entries), r, mask=(True, False, True, True))
-    assert delta[1] == 0.0
-    for mask in [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0)]:
-        delta = gauss_newton_step(_raw_jac(entries), r, mask=tuple(map(bool, mask)))
-        for k, kept in enumerate(mask):
-            if not kept:
-                assert delta[k] == 0.0
+    np.testing.assert_allclose(_step(entries, r), -r[:4] / d, rtol=1e-12)
+    # The leading two singular directions are the two largest columns.
+    want = np.array([0.0, 0.0, -r[2] / d[2], -r[3] / d[3]])
+    np.testing.assert_allclose(_step(entries, r, n=2), want, rtol=1e-12, atol=1e-15)
 
 
 def test_step_matches_least_squares():
@@ -147,9 +131,8 @@ def test_step_matches_least_squares():
     for _ in range(5):
         entries = rng.standard_normal((20, 4))
         r = rng.standard_normal(20)
-        delta = gauss_newton_step(_raw_jac(entries), r)
         want, *_ = np.linalg.lstsq(entries, -r, rcond=None)
-        np.testing.assert_allclose(delta, want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(_step(entries, r), want, rtol=1e-10, atol=1e-14)
 
 
 def test_step_scale_invariance():
@@ -158,30 +141,7 @@ def test_step_scale_invariance():
     r = rng.standard_normal(20)
     s1 = 10.0 ** rng.uniform(-2, 2, 4)
     s2 = 10.0 ** rng.uniform(-2, 2, 4)
-    d1 = gauss_newton_step(_raw_jac(entries), r, scale=s1)
-    d2 = gauss_newton_step(_raw_jac(entries), r, scale=s2)
-    np.testing.assert_allclose(d1, d2, rtol=1e-10)
-
-
-def test_step_singular_system_raises():
-    entries = np.ones((10, 4))
-    entries[:, 1] = entries[:, 0]  # duplicate columns
-    with pytest.raises(SingularSystemError):
-        gauss_newton_step(_raw_jac(entries), np.ones(10))
-
-
-def test_step_validation_errors():
-    j = _raw_jac(np.ones((8, 4)) + np.diag([1.0, 2.0, 3.0, 4.0]).repeat(2, axis=0))
-    with pytest.raises(ValueError):
-        gauss_newton_step(j, np.ones(7))
-    with pytest.raises(ValueError):
-        gauss_newton_step(j, np.ones(8), mask=(True, True, True))
-    with pytest.raises(ValueError):
-        gauss_newton_step(j, np.ones(8), mask=(False, False, False, False))
-    with pytest.raises(ValueError):
-        gauss_newton_step(j, np.ones(8), scale=np.array([1.0, -1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        gauss_newton_step(j, np.ones(8), scale=np.array([1.0, 1.0, 1.0]))
+    np.testing.assert_allclose(_step(entries, r, s1), _step(entries, r, s2), rtol=1e-10)
 
 
 # ------------------------------------------------------------------- configs
@@ -262,6 +222,30 @@ def test_truth_start_is_a_fixed_point(coil, band):
     assert result.iterations <= 2
     err = np.abs(result.params.as_array() - truth.as_array()) / truth.as_array()
     assert err.max() < 1e-6
+
+
+def test_near_singular_full_system_freezes_the_ridge(coil, band, monkeypatch):
+    # With the scaled mu_r column a copy of the scaled sigma column, the
+    # full system is singular.  At the truth the stiff step is zero, so
+    # the solver must stop with the ridge frozen, not take a full step
+    # through a vanishing singular value.
+    import eddyspec.inversion as inv
+
+    real = inv.delta_l_spectrum
+
+    def twinned(coil, plate, freqs, jacobian=False):
+        model, entries = real(coil, plate, freqs, jacobian=True)
+        entries = entries.copy()
+        entries[:, 1] = entries[:, 0] * plate.sigma / plate.mu_r
+        return model, entries
+
+    monkeypatch.setattr(inv, "delta_l_spectrum", twinned)
+    truth = dp600(0.005)
+    observed = delta_l_spectrum(coil, truth, band)
+    result = invert(coil, observed, InversionConfig(init=truth))
+    assert result.converged
+    assert result.iterations == 0
+    assert result.message == "update below step tolerance (ridge frozen)"
 
 
 def test_high_frequency_band_freezes_thickness(hf_band_run):

@@ -41,7 +41,6 @@ def test_jacobian_shape_and_metadata(coil, band):
     j = jacobian(coil, dp600(0.005), band)
     assert j.entries.shape == (2 * len(band), 4)
     assert np.all(np.isfinite(j.entries))
-    np.testing.assert_array_equal(j.perturbation_fractions, [0.01] * 4)
     assert j.reference == dp600(0.005)
 
 
@@ -96,15 +95,13 @@ def test_jacobian_fraction_validation(coil, band):
 def test_jacobian_matrix_validation():
     ref = PlateParams(sigma=1.0, mu_r=1.0, t=1.0, l=1.0)
     with pytest.raises(ValueError):
-        JacobianMatrix(entries=np.zeros((3, 4)), perturbation_fractions=np.full(4, 0.01),
-                       reference=ref)
+        JacobianMatrix(entries=np.zeros((3, 4)), reference=ref)
     with pytest.raises(ValueError):
-        JacobianMatrix(entries=np.zeros((4, 3)), perturbation_fractions=np.full(4, 0.01),
-                       reference=ref)
+        JacobianMatrix(entries=np.zeros((4, 3)), reference=ref)
     bad = np.zeros((4, 4))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
-        JacobianMatrix(entries=bad, perturbation_fractions=np.full(4, 0.01), reference=ref)
+        JacobianMatrix(entries=bad, reference=ref)
 
 
 def test_step_size_saturation(coil, band):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from eddyspec import QuadratureGrid, build_grid, p_integral
-from eddyspec.specfun import panel_edges
+from eddyspec import build_grid, p_integral
+from eddyspec.specfun import QuadratureGrid, panel_edges
 
 # int_0^1 x J1(x) dx: midpoint rule with 1e6 panels gives
 # 0.15453272353176178, mpmath 0.15453272353179369 (40 digits).
