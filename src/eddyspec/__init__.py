@@ -8,7 +8,8 @@ imaginary inductance spectrum, with per-iteration dynamic masking of
 parameters the data cannot resolve.
 
 All internal quantities are strict SI (m, S/m, H, Hz).  Millimetres and
-MS/m appear only at the file-format and command-line boundary.
+MS/m appear only in the file formats and on the command line, and the
+conversion lives in ``dataio`` alone.
 """
 
 from .specfun import build_grid, p_integral
@@ -25,18 +26,14 @@ from .forward import (
     impedance_to_inductance,
 )
 from .sensitivity import PARAM_NAMES, JacobianMatrix, jacobian, sensitivity_spectrum
-from .inversion import (
-    InversionConfig,
-    ParamBounds,
-    inversion_report,
-    invert,
-)
+from .inversion import InversionConfig, ParamBounds, invert
 from .dataio import (
     ConfigFormatError,
     NoiseModel,
     SpectrumFormatError,
     add_noise,
     convert_impedance_file,
+    inversion_report,
     load_coil_config,
     load_inversion_config,
     load_plate_config,

@@ -26,16 +26,21 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    INVERSION_KEYS,
     ConfigFormatError,
     NoiseModel,
     SpectrumFormatError,
     add_noise,
+    inversion_report,
     load_coil_config,
     load_inversion_config,
     load_plate_config,
     load_spectrum,
     save_plate_config,
     save_spectrum,
+    to_si,
+    to_user,
+    user_keys,
 )
 from .forward import (
     DEFAULT_FMAX_HZ,
@@ -46,7 +51,7 @@ from .forward import (
     default_frequencies,
     delta_l_spectrum,
 )
-from .inversion import InversionConfig, inversion_report, invert
+from .inversion import InversionConfig, ParamBounds, invert
 from .samples import REPORT_CASES, dp600
 from .sensitivity import DEFAULT_FRACTIONS, PARAM_NAMES, sensitivity_spectrum, write_sensitivity_csv
 
@@ -272,39 +277,37 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _resolve_inversion_config(args) -> InversionConfig:
-    cfg = load_inversion_config(args.config) if args.config else InversionConfig()
-    init = cfg.init.as_array()
-    if args.init_sigma_msm is not None:
-        init[0] = args.init_sigma_msm * 1e6
-    if args.init_mu_r is not None:
-        init[1] = args.init_mu_r
-    if args.init_t_mm is not None:
-        init[2] = args.init_t_mm * 1e-3
-    if args.init_liftoff_mm is not None:
-        init[3] = args.init_liftoff_mm * 1e-3
+# The scalar inversion settings: config key -> InversionConfig field.
+_SOLVER_FIELDS = {
+    "max_iter": "max_iter",
+    "step_tol": "step_tol",
+    "residual_tol": "residual_tol",
+    "rank_tau": "rank_threshold",
+    "damping": "damping",
+}
+
+
+def _inversion_config(user: dict) -> InversionConfig:
+    """Solver settings from a mapping of INVERSION_KEYS in user units;
+    an omitted key keeps its default."""
+    base = InversionConfig()
+    lower = to_si(user, base.bounds.lower(), suffix="_min")
+    upper = to_si(user, base.bounds.upper(), suffix="_max")
     return InversionConfig(
-        init=PlateParams.from_array(init),
-        max_iter=args.max_iter if args.max_iter is not None else cfg.max_iter,
-        step_tol=cfg.step_tol,
-        residual_tol=cfg.residual_tol,
-        rank_threshold=args.rank_tau if args.rank_tau is not None else cfg.rank_threshold,
-        damping=cfg.damping,
-        bounds=cfg.bounds,
+        init=PlateParams(*to_si(user, base.init.as_array(), prefix="init_")),
+        bounds=ParamBounds(*zip(lower, upper)),
+        **{field: user[key] for key, field in _SOLVER_FIELDS.items() if key in user},
     )
 
 
 def _config_dict(cfg: InversionConfig) -> dict:
+    """The inverse of ``_inversion_config``: every INVERSION_KEYS value of
+    ``cfg``, so the dict written as key = value lines is a config file."""
     return {
-        "init_sigma_msm": cfg.init.sigma / 1e6,
-        "init_mu_r": cfg.init.mu_r,
-        "init_t_mm": cfg.init.t * 1e3,
-        "init_liftoff_mm": cfg.init.l * 1e3,
-        "max_iter": cfg.max_iter,
-        "step_tol": cfg.step_tol,
-        "residual_tol": cfg.residual_tol,
-        "rank_tau": cfg.rank_threshold,
-        "damping": cfg.damping,
+        **to_user(cfg.init.as_array(), prefix="init_"),
+        **to_user(cfg.bounds.lower(), suffix="_min"),
+        **to_user(cfg.bounds.upper(), suffix="_max"),
+        **{key: getattr(cfg, field) for key, field in _SOLVER_FIELDS.items()},
     }
 
 
@@ -312,14 +315,11 @@ def cmd_invert(args) -> int:
     coil = _load_coil(args.coil)
     observed = load_spectrum(args.spectrum)
     truth = load_plate_config(args.truth) if args.truth else None
-    if truth is not None:
-        # The report scores the fit relative to the truth; mu_r >= 1 and
-        # l > 0 already, but a plate config may give sigma or t as 0.
-        for key, value in (("sigma_msm", truth.sigma), ("t_mm", truth.t)):
-            if value == 0.0:
-                raise ValueError(f"truth {key} is 0, so the relative error against it "
-                                 "is undefined; choose a nonzero truth value")
-    cfg = _resolve_inversion_config(args)
+    # The flags' dests are config keys; a flag given overrides the file.
+    user = load_inversion_config(args.config) if args.config else {}
+    user.update((key, value) for key, value in vars(args).items()
+                if key in INVERSION_KEYS and value is not None)
+    cfg = _inversion_config(user)
     t0 = time.perf_counter()
     result = invert(coil, observed, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -330,7 +330,8 @@ def cmd_invert(args) -> int:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _write_manifest(out, "invert", _config_dict(cfg),
-                        {"coil": args.coil, "spectrum": args.spectrum, "truth": args.truth},
+                        {"coil": args.coil, "spectrum": args.spectrum, "truth": args.truth,
+                         "config": args.config},
                         [out], wall_ms=wall_ms)
     sys.stdout.write(text)
     state = "converged" if result.converged else "did not converge"
@@ -354,8 +355,8 @@ def cmd_report(args) -> int:
             "case": label,
             "noise_pct": noise * 100.0,
             "seed": seed,
-            "act": truth,
-            "est": est,
+            "act": to_user(truth.as_array()),
+            "est": to_user(est.as_array()),
             "err": err,
             "iterations": iterations,
             "converged": converged,
@@ -382,7 +383,6 @@ def cmd_report(args) -> int:
     clean = delta_l_spectrum(coil, truth, freqs)
     base = run_single("DP600", truth, clean, 0.0, "", cfg)
     noisy_cfg = replace(cfg, init=base.params)
-    err_keys = ("sigma_msm", "mu_r", "t_mm", "liftoff_mm")
     for noise in (0.01, 0.05, 0.10):
         t1 = time.perf_counter()
         ests, errs, its = [], [], []
@@ -392,12 +392,12 @@ def cmd_report(args) -> int:
             result = invert(coil, observed, noisy_cfg)
             report = inversion_report(result, truth)
             ests.append(result.params.as_array())
-            errs.append([report["error_pct"][key] for key in err_keys])
+            errs.append(list(report["error_pct"].values()))
             its.append(result.iterations)
             all_converged = all_converged and result.converged
         wall_s = time.perf_counter() - t1
         med_est = PlateParams.from_array(np.median(np.asarray(ests), axis=0))
-        med_err = dict(zip(err_keys, np.median(np.asarray(errs), axis=0)))
+        med_err = dict(zip(user_keys(), np.median(np.asarray(errs), axis=0)))
         seed_span = f"{args.seed}:{args.seed + _SEEDS_PER_NOISE_ROW - 1}"
         add_row("DP600", truth, noise, seed_span, med_est, med_err,
                 int(round(float(np.median(its)))), all_converged, wall_s)
@@ -409,12 +409,11 @@ def cmd_report(args) -> int:
     print(header)
     print("-" * len(header))
     for r in rows:
-        est, err = r["est"], r["err"]
-        print(f"{r['case']:<8} {r['act'].l * 1e3:>7.1f} {r['noise_pct']:>6.1f} | "
-              f"{est.sigma / 1e6:>9.4f} {est.mu_r:>7.2f} {est.t * 1e3:>6.3f} "
-              f"{est.l * 1e3:>7.3f} | "
-              f"{err['sigma_msm']:>6.2f} {err['mu_r']:>6.2f} {err['t_mm']:>6.2f} "
-              f"{err['liftoff_mm']:>6.2f} | "
+        sigma, mu_r, t, lift = r["est"].values()
+        e_sigma, e_mu_r, e_t, e_lift = r["err"].values()
+        print(f"{r['case']:<8} {r['act']['liftoff_mm']:>7.1f} {r['noise_pct']:>6.1f} | "
+              f"{sigma:>9.4f} {mu_r:>7.2f} {t:>6.3f} {lift:>7.3f} | "
+              f"{e_sigma:>6.2f} {e_mu_r:>6.2f} {e_t:>6.2f} {e_lift:>6.2f} | "
               f"{r['iterations']:>4d} {'y' if r['converged'] else 'n':>4} "
               f"{r['wall_s']:>5.2f}")
     print(f"noise rows: per-parameter medians over {_SEEDS_PER_NOISE_ROW} seeds, "
@@ -422,21 +421,18 @@ def cmd_report(args) -> int:
 
     if args.out:
         out = Path(args.out)
+        columns = ["case", "noise_pct", "seed",
+                   *(f"act_{key}" for key in user_keys()),
+                   *(f"est_{key}" for key in user_keys()),
+                   *(f"err_{name}_pct" for name in PARAM_NAMES),
+                   "iterations", "converged"]
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("case,noise_pct,seed,act_sigma_msm,act_mu_r,act_t_mm,act_liftoff_mm,"
-                     "est_sigma_msm,est_mu_r,est_t_mm,est_liftoff_mm,"
-                     "err_sigma_pct,err_mu_r_pct,err_t_pct,err_liftoff_pct,"
-                     "iterations,converged\n")
+            fh.write(",".join(columns) + "\n")
             for r in rows:
-                act, est, err = r["act"], r["est"], r["err"]
-                fh.write(f"{r['case']},{r['noise_pct']:g},{r['seed']},"
-                         f"{act.sigma / 1e6:.17g},{act.mu_r:.17g},"
-                         f"{act.t * 1e3:.17g},{act.l * 1e3:.17g},"
-                         f"{est.sigma / 1e6:.17g},{est.mu_r:.17g},"
-                         f"{est.t * 1e3:.17g},{est.l * 1e3:.17g},"
-                         f"{err['sigma_msm']:.17g},{err['mu_r']:.17g},"
-                         f"{err['t_mm']:.17g},{err['liftoff_mm']:.17g},"
-                         f"{r['iterations']},{int(r['converged'])}\n")
+                values = (*r["act"].values(), *r["est"].values(), *r["err"].values())
+                fh.write(",".join([r["case"], f"{r['noise_pct']:g}", str(r["seed"]),
+                                   *(f"{v:.17g}" for v in values),
+                                   str(r["iterations"]), str(int(r["converged"]))]) + "\n")
         wall_ms = (time.perf_counter() - t0) * 1e3
         _write_manifest(out, "report",
                         {"seed": args.seed, "seeds_per_noise_row": _SEEDS_PER_NOISE_ROW},

@@ -1,15 +1,26 @@
-"""File formats, noise synthesis, and unit conversion at the boundary.
+"""File formats, noise synthesis, and the user units of the plate parameters.
 
 Three small text formats, all locale-independent (C locale floats,
-comma-separated, '#' comments in key=value files):
+comma-separated, '#' comments in key=value files), plus the JSON fit
+report:
 
 * spectrum CSV        header ``freq_hz,re_dl_h,im_dl_h``
 * impedance CSV       header ``freq_hz,re_z_ohm,im_z_ohm,re_zair_ohm,im_zair_ohm``
 * key = value config  coil, plate/truth, and inversion settings
+* fit report          ``inversion_report``, the JSON ``eddyspec invert`` writes
+
+Users read and write the plate parameters in MS/m and mm; the rest of
+the package works in SI.  One table here holds that decision: every
+user key of a plate parameter (``sigma_msm``, ``init_t_mm``,
+``liftoff_max_mm``, ...) and every conversion follows from it, through
+``user_keys``, ``to_si`` and ``to_user``.  ``load_inversion_config``
+returns the user keys a file sets; the command line builds the solver
+settings from them.
 
 Values are written with 17 significant digits so a save/load round trip
 reproduces every double exactly.  Malformed input is rejected with the
-offending row named, never coerced.
+offending row named, never coerced.  This module sits below the command
+line and beside the solver: it imports nothing from ``inversion``.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import CoilGeometry, InductanceSpectrum, PlateParams, impedance_to_inductance
-from .inversion import InversionConfig, ParamBounds
+from .sensitivity import PARAM_NAMES
 
 __all__ = [
     "NoiseModel",
@@ -34,6 +45,11 @@ __all__ = [
     "load_plate_config",
     "save_plate_config",
     "load_inversion_config",
+    "INVERSION_KEYS",
+    "user_keys",
+    "to_si",
+    "to_user",
+    "inversion_report",
 ]
 
 _SPECTRUM_HEADER = "freq_hz,re_dl_h,im_dl_h"
@@ -96,7 +112,12 @@ def _parse_float(text: str, what: str, row: int) -> float:
 
 
 def _read_rows(path, header: str, n_fields: int):
-    """Parse a CSV body, checking the header and field counts; yields row tuples."""
+    """Parse a CSV body, checking the header and field counts.
+
+    Returns an iterator of (row, frequency, other fields) that checks, row
+    by row as the caller consumes it, that the first field is a positive
+    frequency above the previous row's.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != header:
@@ -114,16 +135,12 @@ def _read_rows(path, header: str, n_fields: int):
                 f"expected {n_fields} comma-separated fields, got {len(parts)}", i
             )
         rows.append((i, [p.strip() for p in parts]))
-    return rows
+    return _checked_frequencies(rows)
 
 
-def load_spectrum(path) -> InductanceSpectrum:
-    """Read a spectrum CSV, enforcing the header, numeric values, and
-    strictly increasing positive frequencies."""
-    rows = _read_rows(path, _SPECTRUM_HEADER, 3)
-    freqs, values = [], []
+def _checked_frequencies(rows):
     prev = 0.0
-    for i, (freq_s, re_s, im_s) in rows:
+    for i, (freq_s, *rest) in rows:
         f = _parse_float(freq_s, "frequency", i)
         if f <= 0.0:
             raise SpectrumFormatError(f"frequency must be positive, got {f}", i)
@@ -132,6 +149,14 @@ def load_spectrum(path) -> InductanceSpectrum:
                 f"frequencies must increase strictly ({f} after {prev})", i
             )
         prev = f
+        yield i, f, rest
+
+
+def load_spectrum(path) -> InductanceSpectrum:
+    """Read a spectrum CSV, enforcing the header, numeric values, and
+    strictly increasing positive frequencies."""
+    freqs, values = [], []
+    for i, f, (re_s, im_s) in _read_rows(path, _SPECTRUM_HEADER, 3):
         re = _parse_float(re_s, "real part", i)
         im = _parse_float(im_s, "imaginary part", i)
         freqs.append(f)
@@ -147,18 +172,8 @@ def convert_impedance_file(path_in, path_out):
     Each row converts via dL = (z - z_air) / (j 2 pi f).  An empty data
     section yields a header-only output file.
     """
-    rows = _read_rows(path_in, _IMPEDANCE_HEADER, 5)
     freqs, values = [], []
-    prev = 0.0
-    for i, (freq_s, re_z, im_z, re_za, im_za) in rows:
-        f = _parse_float(freq_s, "frequency", i)
-        if f <= 0.0:
-            raise SpectrumFormatError(f"frequency must be positive, got {f}", i)
-        if f <= prev:
-            raise SpectrumFormatError(
-                f"frequencies must increase strictly ({f} after {prev})", i
-            )
-        prev = f
+    for i, f, (re_z, im_z, re_za, im_za) in _read_rows(path_in, _IMPEDANCE_HEADER, 5):
         z = complex(_parse_float(re_z, "Re z", i), _parse_float(im_z, "Im z", i))
         za = complex(_parse_float(re_za, "Re z_air", i), _parse_float(im_za, "Im z_air", i))
         freqs.append(f)
@@ -170,8 +185,11 @@ def convert_impedance_file(path_in, path_out):
     return spectrum
 
 
-def _read_kv(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_kv(path, allowed, int_keys=()) -> dict[str, float | int]:
+    """Numeric settings from key = value text: '#' starts a comment,
+    unknown or duplicate keys are rejected, and ``int_keys`` parse as int,
+    every other key as float."""
+    text: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -181,35 +199,19 @@ def _read_kv(path) -> dict[str, str]:
                 raise ConfigFormatError(f"line {i}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key in out:
+            if key in text:
                 raise ConfigFormatError(f"line {i}: duplicate key {key!r}")
-            out[key] = value.strip()
-    return out
-
-
-def _kv_float(kv: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ConfigFormatError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigFormatError(f"cannot parse {key!r} value {kv[key]!r}") from None
-
-
-def _reject_unknown(kv: dict[str, str], allowed):
-    unknown = sorted(set(kv) - set(allowed))
+            text[key] = value.strip()
+    unknown = sorted(set(text) - set(allowed))
     if unknown:
         raise ConfigFormatError(f"unknown keys: {', '.join(unknown)}")
-
-
-def _kv_unit(kv: dict[str, str], key: str, default: float, factor: float) -> float:
-    """Value of ``key`` scaled into SI by ``factor``; an omitted key returns
-    ``default`` untouched, so defaults never pick up conversion roundoff."""
-    if key not in kv:
-        return default
-    return _kv_float(kv, key) * factor
+    out: dict[str, float | int] = {}
+    for key, value in text.items():
+        try:
+            out[key] = int(value) if key in int_keys else float(value)
+        except ValueError:
+            raise ConfigFormatError(f"cannot parse {key!r} value {value!r}") from None
+    return out
 
 
 _COIL_KEYS = ("r1_mm", "r2_mm", "h_mm", "g_mm", "n_turns")
@@ -218,116 +220,109 @@ _COIL_KEYS = ("r1_mm", "r2_mm", "h_mm", "g_mm", "n_turns")
 def load_coil_config(path) -> CoilGeometry:
     """Coil geometry from key = value text in mm; omitted keys keep the
     reference probe's values."""
-    kv = _read_kv(path)
-    _reject_unknown(kv, _COIL_KEYS)
-    ref = CoilGeometry()
-    n_turns = kv.get("n_turns", str(ref.n_turns))
-    try:
-        n = int(n_turns)
-    except ValueError:
-        raise ConfigFormatError(f"cannot parse 'n_turns' value {n_turns!r}") from None
-    return CoilGeometry(
-        r1=_kv_unit(kv, "r1_mm", ref.r1, 1e-3),
-        r2=_kv_unit(kv, "r2_mm", ref.r2, 1e-3),
-        h=_kv_unit(kv, "h_mm", ref.h, 1e-3),
-        g=_kv_unit(kv, "g_mm", ref.g, 1e-3),
-        n_turns=n,
-    )
+    values = _read_kv(path, _COIL_KEYS, int_keys=("n_turns",))
+    return CoilGeometry(**{
+        key.removesuffix("_mm"): value * 1e-3 if key.endswith("_mm") else value
+        for key, value in values.items()
+    })
 
 
-_PLATE_KEYS = ("sigma_msm", "mu_r", "t_mm", "liftoff_mm")
+# The unit table: each plate parameter in PlateParams order, with the
+# unit suffix of its user keys and its SI factor (SI = user * factor).
+_UNITS = tuple(zip(PARAM_NAMES, ("_msm", "", "_mm", "_mm"), (1e6, 1.0, 1e-3, 1e-3)))
+
+
+def user_keys(prefix: str = "", suffix: str = "") -> list[str]:
+    """The user keys ``prefix + name + suffix + unit`` of the four plate
+    parameters: ``user_keys()`` gives ``sigma_msm``, ``mu_r``, ``t_mm``,
+    ``liftoff_mm``; ``user_keys("init_")`` the initial guess and
+    ``user_keys(suffix="_max")`` the upper bounds."""
+    return [f"{prefix}{name}{suffix}{unit}" for name, unit, _ in _UNITS]
+
+
+def to_si(values, default=None, prefix: str = "", suffix: str = "") -> list[float]:
+    """SI values of the four plate parameters from the user keys
+    ``user_keys(prefix, suffix)`` of the mapping ``values``.
+
+    A key that ``values`` omits takes its entry of the SI sequence
+    ``default`` untouched, so defaults never pick up conversion roundoff;
+    with no ``default``, all four keys are required.
+    """
+    return [
+        values[key] * factor if default is None or key in values else float(default[i])
+        for i, (key, (_, _, factor)) in enumerate(zip(user_keys(prefix, suffix), _UNITS))
+    ]
+
+
+def to_user(si, prefix: str = "", suffix: str = "") -> dict[str, float]:
+    """The four SI plate values ``si`` (PlateParams order) as a mapping of
+    their user keys ``user_keys(prefix, suffix)`` to user units."""
+    return {
+        key: float(x) / factor
+        for key, x, (_, _, factor) in zip(user_keys(prefix, suffix), si, _UNITS)
+    }
 
 
 def load_plate_config(path) -> PlateParams:
     """Plate parameters from key = value text (MS/m and mm); all four required."""
-    kv = _read_kv(path)
-    _reject_unknown(kv, _PLATE_KEYS)
-    return PlateParams(
-        sigma=_kv_float(kv, "sigma_msm") * 1e6,
-        mu_r=_kv_float(kv, "mu_r"),
-        t=_kv_float(kv, "t_mm") * 1e-3,
-        l=_kv_float(kv, "liftoff_mm") * 1e-3,
-    )
+    values = _read_kv(path, user_keys())
+    missing = [key for key in user_keys() if key not in values]
+    if missing:
+        raise ConfigFormatError(f"missing required key {missing[0]!r}")
+    return PlateParams(*to_si(values))
 
 
 def save_plate_config(plate: PlateParams, path, header: str | None = None):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header:
             fh.write(f"# {header}\n")
-        fh.write(f"sigma_msm = {plate.sigma / 1e6:.17g}\n")
-        fh.write(f"mu_r = {plate.mu_r:.17g}\n")
-        fh.write(f"t_mm = {plate.t * 1e3:.17g}\n")
-        fh.write(f"liftoff_mm = {plate.l * 1e3:.17g}\n")
+        for key, value in to_user(plate.as_array()).items():
+            fh.write(f"{key} = {value:.17g}\n")
 
 
-_INVERSION_KEYS = (
-    "init_sigma_msm",
-    "init_mu_r",
-    "init_t_mm",
-    "init_liftoff_mm",
-    "max_iter",
+# Every key of an inversion config file, all optional: the initial guess
+# and the bounds box in user units, and the scalar solver settings.
+_INT_KEYS = ("max_iter", "damping")
+INVERSION_KEYS = (
+    *user_keys("init_"),
+    *_INT_KEYS,
     "step_tol",
     "residual_tol",
     "rank_tau",
-    "damping",
-    "sigma_min_msm",
-    "sigma_max_msm",
-    "mu_r_min",
-    "mu_r_max",
-    "t_min_mm",
-    "t_max_mm",
-    "liftoff_min_mm",
-    "liftoff_max_mm",
+    *user_keys(suffix="_min"),
+    *user_keys(suffix="_max"),
 )
 
 
-def load_inversion_config(path) -> InversionConfig:
-    """Solver settings from key = value text in user units; every key optional."""
-    kv = _read_kv(path)
-    _reject_unknown(kv, _INVERSION_KEYS)
-    base = InversionConfig()
-    bounds = ParamBounds(
-        sigma=(
-            _kv_unit(kv, "sigma_min_msm", base.bounds.sigma[0], 1e6),
-            _kv_unit(kv, "sigma_max_msm", base.bounds.sigma[1], 1e6),
-        ),
-        mu_r=(
-            _kv_float(kv, "mu_r_min", base.bounds.mu_r[0]),
-            _kv_float(kv, "mu_r_max", base.bounds.mu_r[1]),
-        ),
-        t=(
-            _kv_unit(kv, "t_min_mm", base.bounds.t[0], 1e-3),
-            _kv_unit(kv, "t_max_mm", base.bounds.t[1], 1e-3),
-        ),
-        l=(
-            _kv_unit(kv, "liftoff_min_mm", base.bounds.l[0], 1e-3),
-            _kv_unit(kv, "liftoff_max_mm", base.bounds.l[1], 1e-3),
-        ),
-    )
-    init = PlateParams(
-        sigma=_kv_unit(kv, "init_sigma_msm", base.init.sigma, 1e6),
-        mu_r=_kv_float(kv, "init_mu_r", base.init.mu_r),
-        t=_kv_unit(kv, "init_t_mm", base.init.t, 1e-3),
-        l=_kv_unit(kv, "init_liftoff_mm", base.init.l, 1e-3),
-    )
-    try:
-        max_iter = int(kv.get("max_iter", base.max_iter))
-    except ValueError:
-        raise ConfigFormatError(
-            f"cannot parse 'max_iter' value {kv['max_iter']!r}"
-        ) from None
-    try:
-        damping = int(kv.get("damping", base.damping))
-    except ValueError:
-        raise ConfigFormatError(
-            f"cannot parse 'damping' value {kv['damping']!r}"
-        ) from None
-    return InversionConfig(
-        init=init,
-        max_iter=max_iter,
-        step_tol=_kv_float(kv, "step_tol", base.step_tol),
-        residual_tol=_kv_float(kv, "residual_tol", base.residual_tol),
-        rank_threshold=_kv_float(kv, "rank_tau", base.rank_threshold),
-        damping=damping,
-        bounds=bounds,
-    )
+def load_inversion_config(path) -> dict[str, float | int]:
+    """The inversion settings a key = value file sets, as a plain mapping
+    of its INVERSION_KEYS to their values in user units (``max_iter``
+    and ``damping`` are ints).  Keys the file omits are absent."""
+    return _read_kv(path, INVERSION_KEYS, int_keys=_INT_KEYS)
+
+
+def inversion_report(result, truth: PlateParams | None = None) -> dict:
+    """Machine-readable summary of an ``InversionResult`` in user units,
+    the JSON ``eddyspec invert`` writes.
+
+    With ``truth`` supplied, adds per-parameter relative errors in
+    percent, |estimate - actual| / actual * 100, under the same keys.
+    A truth with sigma or t of 0 leaves them undefined: ValueError.
+    """
+    rep = {
+        **to_user(result.params.as_array()),
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "residual": [float(r) for r in result.residual_history],
+        "mask": [[int(b) for b in m] for m in result.rank_masks],
+        "message": result.message,
+    }
+    if truth is not None:
+        act = truth.as_array()
+        for key, value in zip(user_keys(), act):
+            if value == 0.0:
+                raise ValueError(f"truth {key} is 0, so the relative error against it "
+                                 "is undefined; choose a nonzero truth value")
+        err = np.abs(result.params.as_array() - act) / np.abs(act) * 100.0
+        rep["error_pct"] = dict(zip(user_keys(), err.tolist()))
+    return rep

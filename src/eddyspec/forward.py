@@ -131,6 +131,10 @@ class CoilGeometry:
     n_turns: int = 15
 
     def __post_init__(self):
+        for name in ("r1", "r2", "h", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.r1 < self.r2:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
         if self.h <= 0.0 or self.g < 0.0:

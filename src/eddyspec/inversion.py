@@ -45,6 +45,7 @@ phases:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,6 @@ __all__ = [
     "objective",
     "dynamic_rank_mask",
     "invert",
-    "inversion_report",
 ]
 
 
@@ -104,6 +104,9 @@ class ParamBounds:
     def __post_init__(self):
         for name in ("sigma", "mu_r", "t", "l"):
             lo, hi = getattr(self, name)
+            # The manifest records the box, and JSON has no infinity.
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"bounds for {name} must be finite, got ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"bounds for {name} must satisfy lower < upper")
             # The solver steps relative to each parameter, and the
@@ -143,10 +146,12 @@ class InversionConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_tol <= 0.0 or self.residual_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.rank_threshold <= 0.0:
-            raise ValueError("rank_threshold must be positive")
+        for name in ("step_tol", "residual_tol", "rank_threshold"):
+            value = getattr(self, name)
+            # A NaN would pass a plain "<= 0" test and void every
+            # comparison the solver makes with it.
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.damping < 0:
             raise ValueError("damping must be nonnegative")
         if not self.bounds.contains(self.init):
@@ -212,11 +217,13 @@ def invert(
 ) -> InversionResult:
     """Recover plate parameters from an observed inductance spectrum.
 
-    Never raises on poor data: non-finite observations, a spectrum that
-    is zero everywhere, fewer observations than free parameters, rank
-    degeneracy, a near-singular full system, a stalled line search or
-    running out of iterations all come back as ``converged=False`` with
-    the reason in ``message``.
+    Never raises on poor data.  Non-finite observations, a spectrum that
+    is zero everywhere, rank degeneracy, fewer observations than free
+    parameters, every update direction blocked by the bounds box, a
+    stalled line search and running out of iterations all end with
+    ``converged=False`` and the reason in ``message``.  A near-singular
+    full system is not among them: it freezes the ridge, and the fit
+    may still converge on the identifiable combinations.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -375,33 +382,3 @@ def invert(
         param_history=param_history,
         message=message,
     )
-
-
-def inversion_report(result: InversionResult, truth: PlateParams | None = None) -> dict:
-    """Machine-readable summary in user units (MS/m, mm).
-
-    With ``truth`` supplied, adds per-parameter relative errors in
-    percent, |estimate - actual| / actual * 100.
-    """
-    rep = {
-        "sigma_msm": result.params.sigma / 1e6,
-        "mu_r": result.params.mu_r,
-        "t_mm": result.params.t * 1e3,
-        "liftoff_mm": result.params.l * 1e3,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "residual": [float(r) for r in result.residual_history],
-        "mask": [[int(b) for b in m] for m in result.rank_masks],
-        "message": result.message,
-    }
-    if truth is not None:
-        est = result.params.as_array()
-        act = truth.as_array()
-        err = np.abs(est - act) / np.abs(act) * 100.0
-        rep["error_pct"] = {
-            "sigma_msm": float(err[0]),
-            "mu_r": float(err[1]),
-            "t_mm": float(err[2]),
-            "liftoff_mm": float(err[3]),
-        }
-    return rep

@@ -247,6 +247,53 @@ def test_invert_init_overrides_in_manifest(tmp_path, plate_cfg, capsys):
     assert "fd_fraction" not in man["config"]
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_invert_nan_rank_tau_is_a_usage_error(tmp_path, plate_cfg, capsys, where):
+    # A NaN threshold masked every Jacobian column and invert raised
+    # IndexError instead of answering.
+    spec_csv = tmp_path / "dl.csv"
+    assert main(["forward", "--plate", str(plate_cfg), "--out", str(spec_csv),
+                 "--m", "6"]) == 0
+    capsys.readouterr()
+    if where == "flag":
+        extra = ["--rank-tau", "nan"]
+    else:
+        inv_cfg = tmp_path / "inv.cfg"
+        inv_cfg.write_text("rank_tau = nan\n")
+        extra = ["--config", str(inv_cfg)]
+    assert main(["invert", "--spectrum", str(spec_csv)] + extra) == 1
+    captured = capsys.readouterr()
+    assert "rank_threshold must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+def test_invert_manifest_config_reproduces_the_fit(tmp_path):
+    # The manifest's config block, written back as key = value lines, is
+    # a --config file that gives the same fit: bounds included, which pin
+    # mu_r at its upper bound below the plate's 250.
+    plate = tmp_path / "plate.cfg"
+    plate.write_text(EXACT_PLATE_CFG.replace("mu_r = 150", "mu_r = 250"))
+    spec_csv = tmp_path / "dl.csv"
+    assert main(["forward", "--plate", str(plate), "--out", str(spec_csv),
+                 "--m", "10"]) == 0
+    inv_cfg = tmp_path / "inv.cfg"
+    inv_cfg.write_text("mu_r_max = 200\nt_min_mm = 0.5\n")
+    first = tmp_path / "first.json"
+    assert main(["invert", "--spectrum", str(spec_csv), "--config", str(inv_cfg),
+                 "--out", str(first)]) in (0, 2)
+    man = _manifest(first)
+    assert man["inputs"]["config"] == str(inv_cfg)
+    assert man["config"]["mu_r_max"] == 200.0
+    assert man["config"]["t_min_mm"] == 0.5
+    assert json.loads(first.read_text())["mu_r"] == 200.0
+    replay_cfg = tmp_path / "replay.cfg"
+    replay_cfg.write_text("".join(f"{k} = {v}\n" for k, v in man["config"].items()))
+    second = tmp_path / "second.json"
+    assert main(["invert", "--spectrum", str(spec_csv), "--config", str(replay_cfg),
+                 "--out", str(second)]) in (0, 2)
+    assert second.read_bytes() == first.read_bytes()
+
+
 # --------------------------------------------------------------- sensitivity
 
 

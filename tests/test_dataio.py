@@ -15,6 +15,8 @@ from eddyspec import (
     add_noise,
     convert_impedance_file,
     delta_l_spectrum,
+    inversion_report,
+    invert,
     load_coil_config,
     load_inversion_config,
     load_plate_config,
@@ -22,6 +24,7 @@ from eddyspec import (
     save_plate_config,
     save_spectrum,
 )
+from eddyspec.cli import _inversion_config
 from eddyspec.samples import dp600
 
 
@@ -283,7 +286,8 @@ def test_plate_config_unit_conversion(tmp_path):
 def test_inversion_config_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "inv.cfg"
     path.write_text("# nothing overridden\n")
-    assert load_inversion_config(path) == InversionConfig()
+    assert load_inversion_config(path) == {}
+    assert _inversion_config(load_inversion_config(path)) == InversionConfig()
 
 
 def test_inversion_config_full_mapping(tmp_path):
@@ -307,7 +311,11 @@ def test_inversion_config_full_mapping(tmp_path):
         "liftoff_min_mm = 1\n"
         "liftoff_max_mm = 100\n"
     )
-    cfg = load_inversion_config(path)
+    user = load_inversion_config(path)
+    assert user["init_mu_r"] == 80.0
+    assert user["max_iter"] == 33 and isinstance(user["max_iter"], int)
+    assert user["damping"] == 11 and isinstance(user["damping"], int)
+    cfg = _inversion_config(user)
     assert cfg.init == PlateParams(sigma=2e6, mu_r=80.0, t=1e-3, l=6e-3)
     assert cfg.max_iter == 33
     assert cfg.step_tol == 1e-7
@@ -336,3 +344,18 @@ def test_inversion_config_bad_int(tmp_path):
     path.write_text("max_iter = many\n")
     with pytest.raises(ConfigFormatError):
         load_inversion_config(path)
+
+
+# ---------------------------------------------------------------- fit report
+
+
+@pytest.mark.parametrize("field, key", [("sigma", "sigma_msm"), ("t", "t_mm")])
+def test_inversion_report_refuses_a_zero_truth(coil, band, field, key):
+    # error_pct divides by the truth: a zero there would give inf, which
+    # json.dumps writes as the non-JSON Infinity.
+    truth = dp600(0.005)
+    result = invert(coil, delta_l_spectrum(coil, truth, band[::5]))
+    zero = PlateParams(**{**vars(truth), field: 0.0})
+    with pytest.raises(ValueError, match=f"truth {key} is 0"):
+        inversion_report(result, zero)
+

@@ -58,6 +58,15 @@ def test_coil_geometry_validation():
         CoilGeometry(g=-0.005)
 
 
+@pytest.mark.parametrize("name", ["r1", "r2", "h", "g"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_coil_geometry_rejects_non_finite_lengths(name, value):
+    # An infinite h gave an all-zero spectrum, a NaN h a failed integer
+    # conversion and an infinite r2 an OverflowError.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CoilGeometry(**{name: value})
+
+
 def test_plate_params_array_round_trip():
     p = dp600(0.005)
     np.testing.assert_array_equal(p.as_array(), [4.13e6, 222.0, 1.40e-3, 5e-3])

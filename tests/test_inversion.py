@@ -2,6 +2,8 @@
 Gauss-Newton step from the scaled Jacobian's SVD, and full solver
 behavior on clean, noisy, and degenerate spectra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,23 @@ def test_inversion_config_validation():
         InversionConfig(init=PlateParams(sigma=1e3, mu_r=100.0, t=2e-3, l=4e-3))
 
 
+@pytest.mark.parametrize("name", ["step_tol", "residual_tol", "rank_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_inversion_config_rejects_non_finite_settings(name, value):
+    # NaN passes a "<= 0" test; a NaN rank_threshold kept no column and
+    # invert raised IndexError.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        InversionConfig(**{name: value})
+
+
 def test_param_bounds():
     with pytest.raises(ValueError):
         ParamBounds(sigma=(1e8, 1e4))
     for name in ("sigma", "t"):
         with pytest.raises(ValueError, match=f"lower bound for {name} must be positive"):
             ParamBounds(**{name: (0.0, 1.0)})
+    with pytest.raises(ValueError, match="bounds for mu_r must be finite"):
+        ParamBounds(mu_r=(1.0, math.inf))
     b = ParamBounds()
     assert b.contains(InversionConfig().init)
     clamped = b.clamp(PlateParams(sigma=1e9, mu_r=1.0, t=2e-3, l=1.0))
