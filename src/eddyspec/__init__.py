@@ -15,6 +15,7 @@ conversion lives in ``dataio`` alone.
 from .specfun import build_grid, p_integral
 from .forward import (
     MU0,
+    PARAM_NAMES,
     CoilGeometry,
     InductanceSpectrum,
     PlateParams,
@@ -25,7 +26,7 @@ from .forward import (
     delta_l_spectrum,
     impedance_to_inductance,
 )
-from .sensitivity import PARAM_NAMES, JacobianMatrix, jacobian, sensitivity_spectrum
+from .sensitivity import jacobian, sensitivity_spectrum
 from .inversion import InversionConfig, ParamBounds, invert
 from .dataio import (
     ConfigFormatError,
@@ -59,7 +60,6 @@ __all__ = [
     "delta_l_spectrum",
     "impedance_to_inductance",
     "PARAM_NAMES",
-    "JacobianMatrix",
     "jacobian",
     "sensitivity_spectrum",
     "InversionConfig",

@@ -46,6 +46,7 @@ from .forward import (
     DEFAULT_FMAX_HZ,
     DEFAULT_FMIN_HZ,
     DEFAULT_N_FREQS,
+    PARAM_NAMES,
     CoilGeometry,
     PlateParams,
     default_frequencies,
@@ -53,7 +54,7 @@ from .forward import (
 )
 from .inversion import InversionConfig, ParamBounds, invert
 from .samples import REPORT_CASES, dp600
-from .sensitivity import DEFAULT_FRACTIONS, PARAM_NAMES, sensitivity_spectrum, write_sensitivity_csv
+from .sensitivity import DEFAULT_FRACTIONS, sensitivity_spectrum, write_sensitivity_csv
 
 __all__ = ["main"]
 

@@ -30,8 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import CoilGeometry, InductanceSpectrum, PlateParams, impedance_to_inductance
-from .sensitivity import PARAM_NAMES
+from .forward import (
+    PARAM_NAMES,
+    CoilGeometry,
+    InductanceSpectrum,
+    PlateParams,
+    impedance_to_inductance,
+)
 
 __all__ = [
     "NoiseModel",
@@ -82,6 +87,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError(f"amplitude must lie in [0, 1), got {self.amplitude}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def add_noise(clean: InductanceSpectrum, model: NoiseModel) -> InductanceSpectrum:

@@ -76,6 +76,7 @@ from .specfun import build_grid, p_integral, panel_edges
 __all__ = [
     "MU0",
     "CoilGeometry",
+    "PARAM_NAMES",
     "PlateParams",
     "InductanceSpectrum",
     "alpha1",
@@ -141,6 +142,12 @@ class CoilGeometry:
             raise ValueError("h must be positive, g nonnegative")
         if self.n_turns < 1:
             raise ValueError("n_turns must be a positive integer")
+
+
+# Fixed parameter order everywhere, the order of PlateParams.as_array:
+# conductivity, permeability, thickness, lift-off.  "liftoff" is the
+# user-facing name for PlateParams.l.
+PARAM_NAMES = ("sigma", "mu_r", "t", "liftoff")
 
 
 @dataclass(frozen=True)

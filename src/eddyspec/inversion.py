@@ -3,14 +3,15 @@
 The observation vector stacks the real parts of the measured spectrum on
 top of the imaginary parts, and the misfit is the plain half sum of
 squares against the forward model.  Each iteration takes the exact
-Jacobian at the current iterate from the forward model's own kernel pass
-(``delta_l_spectrum(..., jacobian=True)``), rescales its columns
-by the current parameter values (so the solve happens in relative,
-dimensionless steps), masks out any column the data cannot see, and
-then halves the proposed step until the misfit actually drops.  Masked
-parameters receive exactly zero update, which is what keeps the
-iteration stable when e.g. the skin effect has erased all thickness
-information from a high-frequency band.
+Jacobian at the current iterate, a plain (2m, 4) array, from the forward
+model's own kernel pass (``delta_l_spectrum(..., jacobian=True)``),
+scales its columns once by the current parameter values (so the column
+mask and the solve both work in relative, dimensionless units), masks
+out any column the data cannot see, and then halves the proposed step
+until the misfit actually drops.  Masked parameters receive exactly
+zero update, which is what keeps the iteration stable when e.g. the
+skin effect has erased all thickness information from a high-frequency
+band; a Jacobian with no column left ends the fit unconverged.
 
 The misfit surface of this model has a deep, narrow ridge: a thin sheet
 enters the field solution only through the products sigma*t and mu_r*t,
@@ -51,22 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import CoilGeometry, InductanceSpectrum, PlateParams, delta_l_spectrum
-from .sensitivity import JacobianMatrix
 
 __all__ = [
     "ParamBounds",
     "InversionConfig",
     "InversionResult",
-    "RankDegeneracyError",
     "objective",
-    "dynamic_rank_mask",
     "invert",
 ]
-
-
-class RankDegeneracyError(RuntimeError):
-    """Every Jacobian column is negligible; the data constrain nothing."""
-
 
 # Scaled singular values below this fraction of the largest span the
 # "ridge": the near-degenerate combination(s) the band barely sees.  The
@@ -187,22 +180,16 @@ def objective(observed: InductanceSpectrum, model: InductanceSpectrum) -> float:
     return 0.5 * float(d @ d)
 
 
-def dynamic_rank_mask(j: JacobianMatrix, threshold: float = 1e-6):
-    """Mask of columns the data can actually see.
+def _rank_mask(scaled, threshold):
+    """Columns of the column-scaled Jacobian the data can actually see.
 
-    Columns are first scaled by their parameter's current value (so all
-    four are in comparable per-relative-change units); a column whose
-    largest entry falls below ``threshold`` times the largest entry of
-    any column is dropped.  Returns a 4-tuple of bools, True = retained.
+    A column whose largest magnitude falls below ``threshold`` times the
+    largest of any column is dropped, and so is an all-zero column, so a
+    Jacobian that vanishes keeps none.  Returns a 4-tuple of bools, True =
+    retained.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    scaled = np.abs(j.entries) * j.reference.as_array()
-    colmax = scaled.max(axis=0) if scaled.size else np.zeros(4)
-    gmax = colmax.max()
-    if gmax == 0.0:
-        raise RankDegeneracyError("all Jacobian columns vanish; nothing to invert")
-    return tuple(bool(b) for b in colmax >= threshold * gmax)
+    colmax = np.abs(scaled).max(axis=0)
+    return tuple(bool(b) for b in (colmax > 0.0) & (colmax >= threshold * colmax.max()))
 
 
 def _svd_step(u, sv, vt, r, n):
@@ -270,14 +257,16 @@ def invert(
     accepted = 0
 
     for _ in range(cfg.max_iter):
-        jac = JacobianMatrix(entries=entries, reference=p)
-        try:
-            mask = dynamic_rank_mask(jac, cfg.rank_threshold)
-        except RankDegeneracyError as err:
-            message = str(err)
-            break
-        keep = np.asarray(mask, dtype=bool)
+        # Columns scaled by their parameter's current value are in
+        # comparable per-relative-change units; the mask and the SVD
+        # both read them.
         p_arr = p.as_array()
+        scaled = entries * p_arr
+        mask = _rank_mask(scaled, cfg.rank_threshold)
+        keep = np.asarray(mask, dtype=bool)
+        if not keep.any():
+            message = "all Jacobian columns vanish; nothing to invert"
+            break
         r = model.stacked - observed.stacked
         if r.size < keep.sum():
             message = (
@@ -287,8 +276,7 @@ def invert(
             break
 
         # Split the scaled reduced system into stiff and ridge parts.
-        scaled = jac.entries[:, keep] * p_arr[keep]
-        u, sv, vt = np.linalg.svd(scaled, full_matrices=False)
+        u, sv, vt = np.linalg.svd(scaled[:, keep], full_matrices=False)
         n_ridge = int(np.sum(sv < _RIDGE_CUT * sv[0]))
         n_stiff = sv.size - n_ridge
         y_stiff = _svd_step(u, sv, vt, r, n_stiff)

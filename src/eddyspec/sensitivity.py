@@ -7,71 +7,60 @@ same machinery exposes per-fraction sensitivity curves, which show how
 the response saturates as the perturbation grows into the nonlinear
 range; that saturation, not the derivative itself, is what these
 functions are for.  The solver takes the exact Jacobian from the forward
-kernel instead (``delta_l_spectrum(..., jacobian=True)``).
+kernel instead (``delta_l_spectrum(..., jacobian=True)``), and only the
+command line imports this module.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .forward import CoilGeometry, PlateParams, delta_l_spectrum
+from .forward import PARAM_NAMES, CoilGeometry, PlateParams, default_frequencies, delta_l_spectrum
 
 __all__ = [
-    "PARAM_NAMES",
     "DEFAULT_FRACTIONS",
-    "JacobianMatrix",
     "jacobian",
     "sensitivity_spectrum",
     "write_sensitivity_csv",
 ]
 
-# Fixed parameter order everywhere: conductivity, permeability, thickness,
-# lift-off.  "liftoff" is the user-facing name for PlateParams.l.
-PARAM_NAMES = ("sigma", "mu_r", "t", "liftoff")
-
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.10, 0.50)
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """Jacobian of the stacked spectrum.
+def _bumped_differences(coil: CoilGeometry, ref: PlateParams, freqs, bumps):
+    """The spectrum at ``ref``, and one (step, difference) pair per bump.
 
-    ``entries`` has one row per stacked observation (all real parts, then
-    all imaginary parts) and one column per parameter in PARAM_NAMES
-    order.  The reference parameters the columns were built at ride along
-    for scaling and masking downstream.
+    Each bump (k, fraction) moves parameter k up by step = fraction *
+    ref[k], which keeps every probe physical even when the reference sits
+    on a lower bound; the difference is dL(bumped) - dL(ref), complex,
+    one value per frequency.  Fractions must be finite and lie in
+    (0, 0.5], and a bumped parameter must be nonzero at the reference
+    (sigma and t may be 0, and a relative step of 0 is 0).  The callers
+    divide: ``jacobian`` the real and imaginary parts apart, and
+    ``sensitivity_spectrum`` the complex values, a division numpy rounds
+    differently in the last bit.
     """
-
-    entries: np.ndarray
-    reference: PlateParams
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[1] != 4:
-            raise ValueError("entries must be a (2m, 4) array")
-        if entries.shape[0] % 2 != 0:
-            raise ValueError("entries must stack real and imaginary rows evenly")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("Jacobian entries must all be finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-
-def _check_fractions(fractions: np.ndarray):
-    if np.any(fractions <= 0.0) or np.any(fractions > 0.5):
-        raise ValueError("perturbation fractions must lie in (0, 0.5]")
-
-
-def _check_reference(ref: PlateParams, k: int):
-    """A relative step needs a nonzero reference value (sigma and t may be 0)."""
-    if ref.as_array()[k] == 0.0:
-        raise ValueError(
-            f"reference {PARAM_NAMES[k]} is 0, so a relative perturbation "
-            "step of it is 0; choose a nonzero reference value"
-        )
+    p0 = ref.as_array()
+    for k, fraction in bumps:
+        if not (math.isfinite(fraction) and 0.0 < fraction <= 0.5):
+            raise ValueError(f"perturbation fractions must lie in (0, 0.5], got {fraction}")
+        if p0[k] == 0.0:
+            raise ValueError(
+                f"reference {PARAM_NAMES[k]} is 0, so a relative perturbation "
+                "step of it is 0; choose a nonzero reference value"
+            )
+    base = delta_l_spectrum(coil, ref, freqs)
+    diffs = []
+    for k, fraction in bumps:
+        step = fraction * p0[k]
+        pk = p0.copy()
+        pk[k] += step
+        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
+        diffs.append((step, pert.values - base.values))
+    return base, diffs
 
 
 def jacobian(
@@ -79,29 +68,18 @@ def jacobian(
     ref: PlateParams,
     freqs,
     fractions=(0.01, 0.01, 0.01, 0.01),
-) -> JacobianMatrix:
+) -> np.ndarray:
     """One-sided finite-difference Jacobian at the reference parameters.
 
-    Perturbations are taken upward only (+fraction * value), which keeps
-    every probe physical even when the reference sits on a lower bound.
-    A reference value of 0 is rejected: its relative step would be 0.
+    Returns a (2m, 4) array: one row per stacked observation (all real
+    parts, then all imaginary parts) and one column per parameter in
+    PARAM_NAMES order, column k bumped by ``fractions[k]``.
     """
     fr = np.asarray(fractions, dtype=float)
     if fr.shape != (4,):
         raise ValueError("fractions must be a 4-vector")
-    _check_fractions(fr)
-    for k in range(4):
-        _check_reference(ref, k)
-    base_vec = delta_l_spectrum(coil, ref, freqs).stacked
-    p0 = ref.as_array()
-    cols = np.empty((base_vec.size, 4))
-    for k in range(4):
-        step = fr[k] * p0[k]
-        pk = p0.copy()
-        pk[k] += step
-        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
-        cols[:, k] = (pert.stacked - base_vec) / step
-    return JacobianMatrix(entries=cols, reference=ref)
+    _, diffs = _bumped_differences(coil, ref, freqs, list(enumerate(fr)))
+    return np.column_stack([np.concatenate([d.real, d.imag]) / step for step, d in diffs])
 
 
 def sensitivity_spectrum(
@@ -115,31 +93,20 @@ def sensitivity_spectrum(
 
     Returns rows (freq_hz, fraction, re_sens, im_sens), ordered by
     fraction then frequency, where the sensitivity is the one-sided
-    difference quotient d(dL)/d(param) at that perturbation size.  A
-    reference value of 0 for ``param`` is rejected, as in ``jacobian``.
+    difference quotient d(dL)/d(param) at that perturbation size.
     """
     if param not in PARAM_NAMES:
         raise ValueError(f"param must be one of {PARAM_NAMES}, got {param!r}")
     fr = np.atleast_1d(np.asarray(fractions, dtype=float))
     if fr.size == 0:
         raise ValueError("need at least one perturbation fraction")
-    _check_fractions(fr)
-    k = PARAM_NAMES.index(param)
-    _check_reference(ref, k)
     if freqs is None:
-        from .forward import default_frequencies
-
         freqs = default_frequencies()
-    base = delta_l_spectrum(coil, ref, freqs)
-    p0 = ref.as_array()
+    k = PARAM_NAMES.index(param)
+    base, diffs = _bumped_differences(coil, ref, freqs, [(k, frac) for frac in fr])
     rows = []
-    for frac in fr:
-        step = frac * p0[k]
-        pk = p0.copy()
-        pk[k] += step
-        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
-        sens = (pert.values - base.values) / step
-        for f, s in zip(base.freqs, sens):
+    for frac, (step, d) in zip(fr, diffs):
+        for f, s in zip(base.freqs, d / step):
             rows.append((float(f), float(frac), float(s.real), float(s.imag)))
     return rows
 

@@ -15,9 +15,10 @@ MODULES = ["eddyspec"] + [
 ]
 
 # Bottom to top: a module may import the modules before it, except that
-# the file formats (dataio) do not depend on the solver (inversion).
+# the file formats (dataio) do not depend on the solver (inversion), and
+# the finite-difference curves (sensitivity) serve the command line alone.
 LAYERS = ["specfun", "forward", "samples", "sensitivity", "inversion", "dataio", "cli"]
-FORBIDDEN = {"dataio": {"inversion"}}
+FORBIDDEN = {"inversion": {"sensitivity"}, "dataio": {"inversion", "sensitivity"}}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -146,6 +146,15 @@ def test_synth_illegal_amplitude(tmp_path, plate_cfg, capsys):
     assert "amplitude" in capsys.readouterr().err
 
 
+def test_synth_negative_seed_is_a_usage_error(tmp_path, plate_cfg, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["synth", "--truth", str(plate_cfg), "--out", str(out),
+                 "--noise", "0.05", "--seed", "-1"])
+    assert code == 1
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- invert
 
 
@@ -362,11 +371,14 @@ def test_sensitivity_zero_reference_is_a_usage_error(tmp_path, capsys):
 
 
 def test_sensitivity_illegal_fraction(tmp_path, plate_cfg, capsys):
+    # NaN passes both "<= 0" and "> 0.5"; it is refused as a fraction too.
     out = tmp_path / "sens.csv"
-    code = main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
-                 "--freqs-hz", "1e3", "--fractions", "0.0,0.1"])
-    assert code == 1
-    assert "fraction" in capsys.readouterr().err
+    for fractions in ("0.0,0.1", "nan"):
+        code = main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
+                     "--freqs-hz", "1e3", "--fractions", fractions])
+        assert code == 1
+        assert "fraction" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # --------------------------------------------------------------------- usage

@@ -78,7 +78,9 @@ def test_noise_model_validation():
         NoiseModel(amplitude=1.0)
     with pytest.raises(ValueError):
         NoiseModel(amplitude=-0.1)
-    NoiseModel(amplitude=0.0)  # boundary is legal
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        NoiseModel(amplitude=0.05, seed=-1)
+    NoiseModel(amplitude=0.0, seed=0)  # boundaries are legal
 
 
 # ------------------------------------------------------------- spectrum files

@@ -428,13 +428,22 @@ def _assert_secants_grow(coil, plate, band, k):
     assert np.all(np.diff(sizes) > 0.0), (plate, k, sizes)
 
 
+def _assert_column_matches(got, want, step, size, where):
+    """A Jacobian column agrees with its difference quotient to 1e-7
+    relative, or to the rounding floor of the quotient (1e-12 of the
+    spectrum over the step) where the column is too small for a
+    difference to resolve."""
+    assert np.all(np.isfinite(got)), where
+    err = np.linalg.norm(got - want)
+    tol = 1e-7 * np.linalg.norm(want) + 1e-12 * size / step
+    assert err <= tol, (*where, err, tol)
+
+
 def test_jacobian_matches_central_differences(coil, band):
     # Grades, every corner of the default bounds box, sigma = 0 and t = 0.
-    # Each column agrees to 1e-7 relative, or to the rounding floor of the
-    # difference quotient (1e-12 of the spectrum over the step) where the
-    # column is too small for a difference to resolve.  The sigma column
-    # at sigma = 0 and the t column at t = 0 have no derivative: they must
-    # be NaN, and their secants must keep growing.
+    # The sigma column at sigma = 0 and the t column at t = 0 have no
+    # derivative: they must be NaN, and their secants must keep growing.
+    # test_properties draws plates inside the box.
     box = ParamBounds()
     plates = [dp600(0.005), dp800(), dp1000(0.03)]
     plates += [PlateParams.from_array(c) for c in itertools.product(*zip(box.lower(), box.upper()))]
@@ -454,10 +463,7 @@ def test_jacobian_matches_central_differences(coil, band):
                 assert np.all(np.isnan(entries[:, k])), (plate, k)
                 _assert_secants_grow(coil, plate, band, k)
                 continue
-            assert np.all(np.isfinite(entries[:, k])), (plate, k)
-            err = np.linalg.norm(entries[:, k] - want[k])
-            tol = 1e-7 * np.linalg.norm(want[k]) + 1e-12 * size / steps[k]
-            assert err <= tol, (plate, k, err, tol)
+            _assert_column_matches(entries[:, k], want[k], steps[k], size, (plate, k))
 
 
 def test_jacobian_is_finite_without_a_plate(coil, band):

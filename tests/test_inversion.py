@@ -19,20 +19,12 @@ from eddyspec import (
     inversion_report,
     jacobian,
 )
-from eddyspec.inversion import RankDegeneracyError, _svd_step, dynamic_rank_mask, objective
+from eddyspec.inversion import _rank_mask, _svd_step, objective
 from eddyspec.samples import dp600
-from eddyspec.sensitivity import JacobianMatrix
 
 # Misfit between the DP600 truth spectrum and the default initial guess
 # over the default band, frozen from an independent evaluation.
 DP600_INIT_MISFIT = 1.7424367912405806e-06
-
-_ONES = PlateParams(sigma=1.0, mu_r=1.0, t=1.0, l=1.0)
-
-
-def _raw_jac(entries):
-    return JacobianMatrix(entries=entries, reference=_ONES)
-
 
 def _step(entries, r, scale=np.ones(4), n=4):
     """Additive step from the SVD of the column-scaled system, unscaled."""
@@ -74,44 +66,51 @@ def test_objective_pinned_value(coil, band):
     assert objective(observed, model) == pytest.approx(DP600_INIT_MISFIT, rel=1e-9)
 
 
-# ---------------------------------------------------------- dynamic_rank_mask
+# ---------------------------------------------------------------- rank mask
 
 
 def test_rank_mask_drops_negligible_column():
     entries = np.ones((8, 4))
     entries[:, 2] = 1e-9
-    assert dynamic_rank_mask(_raw_jac(entries)) == (True, True, False, True)
+    assert _rank_mask(entries, 1e-6) == (True, True, False, True)
 
 
 def test_rank_mask_keeps_comparable_columns():
     entries = np.ones((8, 4))
     entries[:, 1] = 0.3
-    entries[:, 3] = 1e-5
-    assert dynamic_rank_mask(_raw_jac(entries)) == (True, True, True, True)
+    entries[:, 3] = -1e-5
+    assert _rank_mask(entries, 1e-6) == (True, True, True, True)
 
 
 def test_rank_mask_scaling_by_reference():
     # raw column sizes equal, but the reference value weights them
-    entries = np.ones((8, 4))
     ref = PlateParams(sigma=1.0, mu_r=1.0, t=1e-9, l=1.0)
-    j = JacobianMatrix(entries=entries, reference=ref)
-    assert dynamic_rank_mask(j) == (True, True, False, True)
+    assert _rank_mask(np.ones((8, 4)) * ref.as_array(), 1e-6) == (True, True, False, True)
 
 
-def test_rank_mask_threshold_validation():
-    with pytest.raises(ValueError):
-        dynamic_rank_mask(_raw_jac(np.ones((8, 4))), threshold=0.0)
+def test_all_zero_jacobian_ends_unconverged(coil, band, monkeypatch):
+    # A Jacobian that vanishes leaves no column to step in: the fit ends
+    # before its first step, with the reason, and raises nothing.
+    import eddyspec.inversion as inv
 
+    real = inv.delta_l_spectrum
 
-def test_rank_mask_all_zero_raises():
-    with pytest.raises(RankDegeneracyError):
-        dynamic_rank_mask(_raw_jac(np.zeros((8, 4))))
+    def vanishing(coil, plate, freqs, jacobian=False):
+        model, entries = real(coil, plate, freqs, jacobian=True)
+        return model, np.zeros_like(entries)
+
+    monkeypatch.setattr(inv, "delta_l_spectrum", vanishing)
+    result = invert(coil, delta_l_spectrum(coil, dp600(0.005), band))
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.message == "all Jacobian columns vanish; nothing to invert"
+    assert result.rank_masks == []
 
 
 def test_rank_mask_drops_thickness_above_skin_depth(coil):
     freqs = np.geomspace(1e6, 3e6, 8)
-    j = jacobian(coil, dp600(0.005), freqs)
-    assert dynamic_rank_mask(j, 1e-6) == (True, True, False, True)
+    scaled = jacobian(coil, dp600(0.005), freqs) * dp600(0.005).as_array()
+    assert _rank_mask(scaled, 1e-6) == (True, True, False, True)
 
 
 # ------------------------------------------------------------------ svd step

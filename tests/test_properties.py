@@ -1,4 +1,9 @@
-"""Property tests of the solver's contracts over random plates and data.
+"""Property tests of the forward model's and the solver's contracts over
+random plates and data.
+
+Over the whole default bounds box, the forward model promises a finite
+exact Jacobian that matches central differences, and a passive plate:
+Im dL <= 0 at every frequency, on the default band and at 10 Hz - 1 MHz.
 
 ``invert`` promises three things for every input: it never raises on poor
 data, every iterate stays inside the bounds box, and the misfit it reports
@@ -28,8 +33,11 @@ from eddyspec import (
     invert,
 )
 
+from test_forward import _assert_column_matches, _difference_jacobian
+
 COIL = CoilGeometry()
 BAND = default_frequencies(m=12)
+WIDE_BAND = default_frequencies(10.0, 1e6, 60)
 BOX = ParamBounds()
 CFG = InversionConfig(max_iter=6)
 
@@ -45,6 +53,19 @@ plates = st.builds(
     t=_log_uniform(*BOX.t),
     l=_log_uniform(*BOX.l),
 )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(plate=plates)
+def test_forward_keeps_its_contracts(plate):
+    for freqs in (default_frequencies(), WIDE_BAND):
+        spectrum, entries = delta_l_spectrum(COIL, plate, freqs, jacobian=True)
+        assert np.all(spectrum.values.imag <= 0.0), plate
+        want, steps, size = _difference_jacobian(COIL, plate, freqs)
+        for k in range(4):
+            _assert_column_matches(entries[:, k], want[k], steps[k], size, (plate, k))
+
+
 # (stacked index, replacement) of the corrupted observation, or None; a
 # replacement that is a float scales the clean value instead.
 corruptions = st.none() | st.tuples(
