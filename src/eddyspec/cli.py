@@ -278,16 +278,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# The scalar inversion settings: config key -> InversionConfig field.
-_SOLVER_FIELDS = {
-    "max_iter": "max_iter",
-    "step_tol": "step_tol",
-    "residual_tol": "residual_tol",
-    "rank_tau": "rank_threshold",
-    "damping": "damping",
-}
-
-
 def _inversion_config(user: dict) -> InversionConfig:
     """Solver settings from a mapping of INVERSION_KEYS in user units;
     an omitted key keeps its default."""
@@ -296,8 +286,8 @@ def _inversion_config(user: dict) -> InversionConfig:
     upper = to_si(user, base.bounds.upper(), suffix="_max")
     return InversionConfig(
         init=PlateParams(*to_si(user, base.init.as_array(), prefix="init_")),
+        max_iter=user.get("max_iter", base.max_iter),
         bounds=ParamBounds(*zip(lower, upper)),
-        **{field: user[key] for key, field in _SOLVER_FIELDS.items() if key in user},
     )
 
 
@@ -308,7 +298,7 @@ def _config_dict(cfg: InversionConfig) -> dict:
         **to_user(cfg.init.as_array(), prefix="init_"),
         **to_user(cfg.bounds.lower(), suffix="_min"),
         **to_user(cfg.bounds.upper(), suffix="_max"),
-        **{key: getattr(cfg, field) for key, field in _SOLVER_FIELDS.items()},
+        "max_iter": cfg.max_iter,
     }
 
 
@@ -485,7 +475,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-t-mm", type=float, help="initial thickness, mm")
     p.add_argument("--init-liftoff-mm", type=float, help="initial lift-off, mm")
     p.add_argument("--max-iter", type=int, help="iteration cap")
-    p.add_argument("--rank-tau", type=float, help="dynamic rank threshold")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("report", help="run the standard benchmark cases")

@@ -288,14 +288,10 @@ def save_plate_config(plate: PlateParams, path, header: str | None = None):
 
 
 # Every key of an inversion config file, all optional: the initial guess
-# and the bounds box in user units, and the scalar solver settings.
-_INT_KEYS = ("max_iter", "damping")
+# and the bounds box in user units, and the iteration cap.
 INVERSION_KEYS = (
     *user_keys("init_"),
-    *_INT_KEYS,
-    "step_tol",
-    "residual_tol",
-    "rank_tau",
+    "max_iter",
     *user_keys(suffix="_min"),
     *user_keys(suffix="_max"),
 )
@@ -303,9 +299,9 @@ INVERSION_KEYS = (
 
 def load_inversion_config(path) -> dict[str, float | int]:
     """The inversion settings a key = value file sets, as a plain mapping
-    of its INVERSION_KEYS to their values in user units (``max_iter``
-    and ``damping`` are ints).  Keys the file omits are absent."""
-    return _read_kv(path, INVERSION_KEYS, int_keys=_INT_KEYS)
+    of its INVERSION_KEYS to their values in user units (``max_iter`` is
+    an int).  Keys the file omits are absent."""
+    return _read_kv(path, INVERSION_KEYS, int_keys=("max_iter",))
 
 
 def inversion_report(result, truth: PlateParams | None = None) -> dict:

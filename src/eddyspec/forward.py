@@ -66,6 +66,7 @@ frequency lowers it (Re dL < 0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,8 +141,9 @@ class CoilGeometry:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
         if self.h <= 0.0 or self.g < 0.0:
             raise ValueError("h must be positive, g nonnegative")
-        if self.n_turns < 1:
-            raise ValueError("n_turns must be a positive integer")
+        # A NaN or inf passes "< 1" and poisons the whole spectrum.
+        if not (isinstance(self.n_turns, numbers.Integral) and self.n_turns >= 1):
+            raise ValueError(f"n_turns must be an integer >= 1, got {self.n_turns!r}")
 
 
 # Fixed parameter order everywhere, the order of PlateParams.as_array:

@@ -42,11 +42,17 @@ phases:
    the ridge floor where an additive one would climb its walls, and the
    iteration converges quadratically once on the floor.  The truncated
    steps of phases 1 and 2 stay additive.
+
+A caller chooses only the start, the bounds box and the iteration cap
+(``InversionConfig``).  The stop tests, the column drop level and the
+halving limit are the module constants below, the values every shipped
+result was computed with.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +81,22 @@ _STIFF_DONE = 1e-3
 # makes the full step numerically singular (a condition number above
 # 1e14 for the normal matrix); the ridge is then frozen instead.
 _SINGULAR_CUT = 1e-7
+
+# The fit has converged once the relative (scaled) step norm falls below
+# this: a part per million, far below any error the report prints.
+_STEP_TOL = 1e-6
+
+# A clean full step that removes less than this fraction of the misfit
+# ends the fit: the misfit has stopped falling.
+_RESIDUAL_TOL = 1e-9
+
+# A scaled Jacobian column below this fraction of the largest is dropped
+# as invisible to the band (thickness, once the skin depth is far below t).
+_RANK_TAU = 1e-6
+
+# The most step halvings per iteration; a step halved 20 times is a
+# millionth of its proposal, past which the line search has failed.
+_HALVINGS = 20
 
 # Ridge moves must promise at least this fraction of the current misfit,
 # else the direction is treated as unsupported by the data and frozen.
@@ -126,27 +148,16 @@ class ParamBounds:
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Solver settings; defaults are the ones used for every shipped result."""
+    """Where the fit starts, the box it stays in and its iteration cap."""
 
     init: PlateParams = PlateParams(sigma=5e6, mu_r=100.0, t=2e-3, l=4e-3)
     max_iter: int = 100
-    step_tol: float = 1e-6  # on the relative (scaled) step norm
-    residual_tol: float = 1e-9  # on the relative misfit decrease
-    rank_threshold: float = 1e-6  # column drop level, relative to max column
-    damping: int = 20  # max step halvings per iteration
     bounds: ParamBounds = field(default_factory=ParamBounds)
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        for name in ("step_tol", "residual_tol", "rank_threshold"):
-            value = getattr(self, name)
-            # A NaN would pass a plain "<= 0" test and void every
-            # comparison the solver makes with it.
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
+        # A NaN or 2.5 would pass "< 1" and fail later in range().
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.bounds.contains(self.init):
             raise ValueError("initial guess must lie within the bounds box")
 
@@ -180,16 +191,16 @@ def objective(observed: InductanceSpectrum, model: InductanceSpectrum) -> float:
     return 0.5 * float(d @ d)
 
 
-def _rank_mask(scaled, threshold):
+def _rank_mask(scaled):
     """Columns of the column-scaled Jacobian the data can actually see.
 
-    A column whose largest magnitude falls below ``threshold`` times the
+    A column whose largest magnitude falls below ``_RANK_TAU`` times the
     largest of any column is dropped, and so is an all-zero column, so a
     Jacobian that vanishes keeps none.  Returns a 4-tuple of bools, True =
     retained.
     """
     colmax = np.abs(scaled).max(axis=0)
-    return tuple(bool(b) for b in (colmax > 0.0) & (colmax >= threshold * colmax.max()))
+    return tuple(bool(b) for b in (colmax > 0.0) & (colmax >= _RANK_TAU * colmax.max()))
 
 
 def _svd_step(u, sv, vt, r, n):
@@ -262,7 +273,7 @@ def invert(
         # both read them.
         p_arr = p.as_array()
         scaled = entries * p_arr
-        mask = _rank_mask(scaled, cfg.rank_threshold)
+        mask = _rank_mask(scaled)
         keep = np.asarray(mask, dtype=bool)
         if not keep.any():
             message = "all Jacobian columns vanish; nothing to invert"
@@ -293,14 +304,14 @@ def invert(
             # buried in the residual (noise) floor, or it is too flat for
             # the full step to resolve.  Freeze it and converge on the
             # identifiable combinations alone.
-            if stiff_norm < cfg.step_tol:
+            if stiff_norm < _STEP_TOL:
                 converged = True
                 message = "update below step tolerance (ridge frozen)"
                 break
             y, log_step = y_stiff, False
         else:
             y, log_step = _svd_step(u, sv, vt, r, sv.size), True
-            if float(np.linalg.norm(y)) < cfg.step_tol:
+            if float(np.linalg.norm(y)) < _STEP_TOL:
                 converged = True
                 message = "update below step tolerance"
                 break
@@ -321,7 +332,7 @@ def invert(
         # Candidates are clamped into the bounds box before evaluation, so
         # iterates can never leave it.  Each candidate is evaluated with
         # its Jacobian, which the next iteration reuses.
-        for k in range(cfg.damping + 1):
+        for k in range(_HALVINGS + 1):
             if log_step:
                 want = step * 0.5**k / p_arr
                 ratio = np.clip(want, np.log(lo / p_arr), np.log(hi / p_arr))
@@ -349,14 +360,14 @@ def invert(
         rank_masks.append(mask)
         param_history.append(p)
 
-        if rel_step < cfg.step_tol:
+        if rel_step < _STEP_TOL:
             converged = True
             message = "accepted step below step tolerance"
             break
         # The residual test only counts when the full proposal was taken
         # cleanly; a deeply halved or clamped step can show a tiny
         # decrease while far from any optimum.
-        if full_accept and prev_misfit - misfit <= cfg.residual_tol * prev_misfit:
+        if full_accept and prev_misfit - misfit <= _RESIDUAL_TOL * prev_misfit:
             converged = True
             message = "misfit decrease below residual tolerance"
             break

@@ -30,18 +30,16 @@ __all__ = [
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.10, 0.50)
 
 
-def _bumped_differences(coil: CoilGeometry, ref: PlateParams, freqs, bumps):
-    """The spectrum at ``ref``, and one (step, difference) pair per bump.
+def _bumped_quotients(coil: CoilGeometry, ref: PlateParams, freqs, bumps):
+    """The spectrum at ``ref``, and one difference quotient per bump.
 
     Each bump (k, fraction) moves parameter k up by step = fraction *
     ref[k], which keeps every probe physical even when the reference sits
-    on a lower bound; the difference is dL(bumped) - dL(ref), complex,
-    one value per frequency.  Fractions must be finite and lie in
+    on a lower bound; its quotient is (dL(bumped) - dL(ref)) / step,
+    stacked like a Jacobian column: the real parts, then the imaginary
+    parts, one per frequency.  Fractions must be finite and lie in
     (0, 0.5], and a bumped parameter must be nonzero at the reference
-    (sigma and t may be 0, and a relative step of 0 is 0).  The callers
-    divide: ``jacobian`` the real and imaginary parts apart, and
-    ``sensitivity_spectrum`` the complex values, a division numpy rounds
-    differently in the last bit.
+    (sigma and t may be 0, and a relative step of 0 is 0).
     """
     p0 = ref.as_array()
     for k, fraction in bumps:
@@ -53,14 +51,14 @@ def _bumped_differences(coil: CoilGeometry, ref: PlateParams, freqs, bumps):
                 "step of it is 0; choose a nonzero reference value"
             )
     base = delta_l_spectrum(coil, ref, freqs)
-    diffs = []
+    quotients = []
     for k, fraction in bumps:
         step = fraction * p0[k]
         pk = p0.copy()
         pk[k] += step
-        pert = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs)
-        diffs.append((step, pert.values - base.values))
-    return base, diffs
+        d = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs).values - base.values
+        quotients.append(np.concatenate([d.real, d.imag]) / step)
+    return base, quotients
 
 
 def jacobian(
@@ -78,8 +76,8 @@ def jacobian(
     fr = np.asarray(fractions, dtype=float)
     if fr.shape != (4,):
         raise ValueError("fractions must be a 4-vector")
-    _, diffs = _bumped_differences(coil, ref, freqs, list(enumerate(fr)))
-    return np.column_stack([np.concatenate([d.real, d.imag]) / step for step, d in diffs])
+    _, quotients = _bumped_quotients(coil, ref, freqs, list(enumerate(fr)))
+    return np.column_stack(quotients)
 
 
 def sensitivity_spectrum(
@@ -103,12 +101,13 @@ def sensitivity_spectrum(
     if freqs is None:
         freqs = default_frequencies()
     k = PARAM_NAMES.index(param)
-    base, diffs = _bumped_differences(coil, ref, freqs, [(k, frac) for frac in fr])
-    rows = []
-    for frac, (step, d) in zip(fr, diffs):
-        for f, s in zip(base.freqs, d / step):
-            rows.append((float(f), float(frac), float(s.real), float(s.imag)))
-    return rows
+    base, quotients = _bumped_quotients(coil, ref, freqs, [(k, frac) for frac in fr])
+    m = len(base)
+    return [
+        (float(f), float(frac), float(re), float(im))
+        for frac, q in zip(fr, quotients)
+        for f, re, im in zip(base.freqs, q[:m], q[m:])
+    ]
 
 
 def write_sensitivity_csv(path, rows):

@@ -139,7 +139,7 @@ def test_criterion_6_skin_effect_rank_degeneracy(coil, hf_band_run):
     scaled = jacobian(coil, dp600(0.005), freqs) * dp600(0.005).as_array()
     colmax = np.abs(scaled).max(axis=0)
     t_level = colmax[2] / colmax.max()
-    mask = _rank_mask(scaled, 1e-6)
+    mask = _rank_mask(scaled)
 
     observed, result = hf_band_run
     masks_drop_t = bool(result.rank_masks) and all(

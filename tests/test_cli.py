@@ -21,6 +21,7 @@ from eddyspec import (
     load_spectrum,
 )
 from eddyspec.cli import main
+from eddyspec.dataio import INVERSION_KEYS
 from eddyspec.forward import DEFAULT_N_FREQS
 
 EXACT_PLATE = PlateParams(sigma=4e6, mu_r=150.0, t=2e-3, l=8e-3)
@@ -244,7 +245,7 @@ def test_invert_init_overrides_in_manifest(tmp_path, plate_cfg, capsys):
     code = main(["invert", "--spectrum", str(spec_csv), "--out", str(report_json),
                  "--init-sigma-msm", "2.5", "--init-mu-r", "80",
                  "--init-t-mm", "1.25", "--init-liftoff-mm", "4",
-                 "--max-iter", "60", "--rank-tau", "1e-5"])
+                 "--max-iter", "60"])
     assert code in (0, 2)
     man = _manifest(report_json)
     assert man["config"]["init_sigma_msm"] == pytest.approx(2.5, rel=1e-15)
@@ -252,28 +253,35 @@ def test_invert_init_overrides_in_manifest(tmp_path, plate_cfg, capsys):
     assert man["config"]["init_t_mm"] == pytest.approx(1.25, rel=1e-15)
     assert man["config"]["init_liftoff_mm"] == pytest.approx(4.0, rel=1e-15)
     assert man["config"]["max_iter"] == 60
-    assert man["config"]["rank_tau"] == 1e-5
-    assert "fd_fraction" not in man["config"]
+    assert sorted(man["config"]) == sorted(INVERSION_KEYS) and len(INVERSION_KEYS) == 13
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
-def test_invert_nan_rank_tau_is_a_usage_error(tmp_path, plate_cfg, capsys, where):
-    # A NaN threshold masked every Jacobian column and invert raised
-    # IndexError instead of answering.
+def test_invert_rank_tau_is_a_usage_error(tmp_path, plate_cfg, capsys, where):
+    # The column drop level is a solver constant: neither the flag nor the
+    # config key exists, and naming either writes no report.
     spec_csv = tmp_path / "dl.csv"
     assert main(["forward", "--plate", str(plate_cfg), "--out", str(spec_csv),
                  "--m", "6"]) == 0
     capsys.readouterr()
+    report_json = tmp_path / "fit.json"
     if where == "flag":
-        extra = ["--rank-tau", "nan"]
+        extra = ["--rank-tau", "1e-5"]
+        message = "unrecognized arguments: --rank-tau 1e-5"
     else:
         inv_cfg = tmp_path / "inv.cfg"
-        inv_cfg.write_text("rank_tau = nan\n")
+        inv_cfg.write_text("rank_tau = 1e-5\n")
         extra = ["--config", str(inv_cfg)]
-    assert main(["invert", "--spectrum", str(spec_csv)] + extra) == 1
+        message = "unknown keys: rank_tau"
+    try:  # argparse exits on an unknown flag; a bad config file returns 1
+        code = main(["invert", "--spectrum", str(spec_csv), "--out", str(report_json)] + extra)
+    except SystemExit as err:
+        code = err.code
+    assert code == 1
     captured = capsys.readouterr()
-    assert "rank_threshold must be finite and positive" in captured.err
+    assert message in captured.err
     assert captured.out == ""
+    assert not report_json.exists()
 
 
 def test_invert_manifest_config_reproduces_the_fit(tmp_path):

@@ -54,6 +54,10 @@ def test_coil_geometry_validation():
         CoilGeometry(h=0.0)
     with pytest.raises(ValueError):
         CoilGeometry(n_turns=0)
+    # NaN and inf passed "< 1" and gave a NaN or infinite spectrum.
+    for n_turns in (math.nan, math.inf, 2.5):
+        with pytest.raises(ValueError, match=f"^n_turns must be an integer >= 1, got {n_turns}"):
+            CoilGeometry(n_turns=n_turns)
     with pytest.raises(ValueError):
         CoilGeometry(g=-0.005)
 

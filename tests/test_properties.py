@@ -2,8 +2,9 @@
 random plates and data.
 
 Over the whole default bounds box, the forward model promises a finite
-exact Jacobian that matches central differences, and a passive plate:
-Im dL <= 0 at every frequency, on the default band and at 10 Hz - 1 MHz.
+exact Jacobian that matches central differences, a passive plate
+(Im dL <= 0 at every frequency) and |phi| <= 1 on every quadrature node,
+on the default band and at 10 Hz - 1 MHz.
 
 ``invert`` promises three things for every input: it never raises on poor
 data, every iterate stays inside the bounds box, and the misfit it reports
@@ -28,10 +29,12 @@ from eddyspec import (
     ParamBounds,
     PlateParams,
     add_noise,
+    coil_grid,
     default_frequencies,
     delta_l_spectrum,
     invert,
 )
+from eddyspec.forward import phi
 
 from test_forward import _assert_column_matches, _difference_jacobian
 
@@ -58,9 +61,12 @@ plates = st.builds(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(plate=plates)
 def test_forward_keeps_its_contracts(plate):
+    nodes, _ = coil_grid(COIL)
     for freqs in (default_frequencies(), WIDE_BAND):
         spectrum, entries = delta_l_spectrum(COIL, plate, freqs, jacobian=True)
         assert np.all(spectrum.values.imag <= 0.0), plate
+        for f in freqs:
+            assert np.all(np.abs(phi(nodes, 2.0 * math.pi * f, plate)) <= 1.0 + 1e-12), (plate, f)
         want, steps, size = _difference_jacobian(COIL, plate, freqs)
         for k in range(4):
             _assert_column_matches(entries[:, k], want[k], steps[k], size, (plate, k))
