@@ -26,7 +26,7 @@ from .forward import (
     delta_l_spectrum,
     impedance_to_inductance,
 )
-from .sensitivity import jacobian, sensitivity_spectrum
+from .sensitivity import difference_quotients
 from .inversion import InversionConfig, ParamBounds, invert
 from .dataio import (
     ConfigFormatError,
@@ -60,8 +60,7 @@ __all__ = [
     "delta_l_spectrum",
     "impedance_to_inductance",
     "PARAM_NAMES",
-    "jacobian",
-    "sensitivity_spectrum",
+    "difference_quotients",
     "InversionConfig",
     "ParamBounds",
     "inversion_report",

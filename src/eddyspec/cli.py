@@ -54,7 +54,7 @@ from .forward import (
 )
 from .inversion import InversionConfig, ParamBounds, invert
 from .samples import REPORT_CASES, dp600
-from .sensitivity import DEFAULT_FRACTIONS, sensitivity_spectrum, write_sensitivity_csv
+from .sensitivity import DEFAULT_FRACTIONS, difference_quotients, write_sensitivity_csv
 
 __all__ = ["main"]
 
@@ -150,10 +150,14 @@ def cmd_sensitivity(args) -> int:
     plate = load_plate_config(args.plate)
     freqs = _resolve_freqs(args)
     fractions = args.fractions
-    rows = []
-    for name in PARAM_NAMES:
-        for freq, frac, re, im in sensitivity_spectrum(coil, plate, name, fractions, freqs):
-            rows.append((freq, name, frac, re, im))
+    q = difference_quotients(coil, plate, freqs, fractions)
+    m = len(freqs)
+    rows = [
+        (float(freq), name, float(frac), float(q[i, j, k]), float(q[i, m + j, k]))
+        for k, name in enumerate(PARAM_NAMES)
+        for i, frac in enumerate(fractions)
+        for j, freq in enumerate(freqs)
+    ]
     write_sensitivity_csv(out, rows)
     outputs = [out]
     if args.svg:

@@ -82,8 +82,9 @@ _STIFF_DONE = 1e-3
 # 1e14 for the normal matrix); the ridge is then frozen instead.
 _SINGULAR_CUT = 1e-7
 
-# The fit has converged once the relative (scaled) step norm falls below
-# this: a part per million, far below any error the report prints.
+# The fit has converged once the proposed relative (scaled) step norm
+# falls below this: a part per million, far below any error the report
+# prints.
 _STEP_TOL = 1e-6
 
 # A clean full step that removes less than this fraction of the misfit
@@ -141,9 +142,6 @@ class ParamBounds:
 
     def clamp_array(self, p: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(p, self.lower()), self.upper())
-
-    def clamp(self, p: PlateParams) -> PlateParams:
-        return PlateParams.from_array(self.clamp_array(p.as_array()))
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def invert(
     if len(observed) == 0:
         raise ValueError("observed spectrum is empty")
 
-    p = cfg.bounds.clamp(cfg.init)
+    p = cfg.init
     bad = ~np.isfinite(observed.values)
     refusal = None
     if np.any(bad):
@@ -352,7 +350,6 @@ def invert(
             break
 
         full_accept = k == 0 and not clamped
-        rel_step = float(np.linalg.norm((trial - p_arr) / p_arr))
         prev_misfit, misfit = misfit, trial_misfit
         p, model, entries = trial_p, trial_model, trial_entries
         accepted += 1
@@ -360,10 +357,6 @@ def invert(
         rank_masks.append(mask)
         param_history.append(p)
 
-        if rel_step < _STEP_TOL:
-            converged = True
-            message = "accepted step below step tolerance"
-            break
         # The residual test only counts when the full proposal was taken
         # cleanly; a deeply halved or clamped step can show a tiny
         # decrease while far from any optimum.

@@ -1,14 +1,15 @@
 """Finite-perturbation sensitivities of the forward model.
 
-Each parameter is bumped up by a fraction of its current value and the
-spectrum re-evaluated, so a full finite-difference Jacobian costs
-exactly five forward spectra (reference plus one per parameter).  The
-same machinery exposes per-fraction sensitivity curves, which show how
-the response saturates as the perturbation grows into the nonlinear
-range; that saturation, not the derivative itself, is what these
-functions are for.  The solver takes the exact Jacobian from the forward
-kernel instead (``delta_l_spectrum(..., jacobian=True)``), and only the
-command line imports this module.
+Each parameter is bumped up by a fraction of its reference value and the
+spectrum re-evaluated; ``difference_quotients`` returns the one-sided
+quotient for every fraction and every parameter at once, from one
+reference spectrum and one bumped spectrum per (fraction, parameter)
+pair.  Across fractions the quotients show how the response saturates
+as the perturbation grows into the nonlinear range; that saturation,
+not the derivative itself, is what this module is for.  The solver
+takes the exact Jacobian from the forward kernel instead
+(``delta_l_spectrum(..., jacobian=True)``), and only the command line
+imports this module.
 """
 
 from __future__ import annotations
@@ -22,92 +23,56 @@ from .forward import PARAM_NAMES, CoilGeometry, PlateParams, default_frequencies
 
 __all__ = [
     "DEFAULT_FRACTIONS",
-    "jacobian",
-    "sensitivity_spectrum",
+    "difference_quotients",
     "write_sensitivity_csv",
 ]
 
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.10, 0.50)
 
 
-def _bumped_quotients(coil: CoilGeometry, ref: PlateParams, freqs, bumps):
-    """The spectrum at ``ref``, and one difference quotient per bump.
-
-    Each bump (k, fraction) moves parameter k up by step = fraction *
-    ref[k], which keeps every probe physical even when the reference sits
-    on a lower bound; its quotient is (dL(bumped) - dL(ref)) / step,
-    stacked like a Jacobian column: the real parts, then the imaginary
-    parts, one per frequency.  Fractions must be finite and lie in
-    (0, 0.5], and a bumped parameter must be nonzero at the reference
-    (sigma and t may be 0, and a relative step of 0 is 0).
-    """
-    p0 = ref.as_array()
-    for k, fraction in bumps:
-        if not (math.isfinite(fraction) and 0.0 < fraction <= 0.5):
-            raise ValueError(f"perturbation fractions must lie in (0, 0.5], got {fraction}")
-        if p0[k] == 0.0:
-            raise ValueError(
-                f"reference {PARAM_NAMES[k]} is 0, so a relative perturbation "
-                "step of it is 0; choose a nonzero reference value"
-            )
-    base = delta_l_spectrum(coil, ref, freqs)
-    quotients = []
-    for k, fraction in bumps:
-        step = fraction * p0[k]
-        pk = p0.copy()
-        pk[k] += step
-        d = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs).values - base.values
-        quotients.append(np.concatenate([d.real, d.imag]) / step)
-    return base, quotients
-
-
-def jacobian(
+def difference_quotients(
     coil: CoilGeometry,
     ref: PlateParams,
-    freqs,
-    fractions=(0.01, 0.01, 0.01, 0.01),
-) -> np.ndarray:
-    """One-sided finite-difference Jacobian at the reference parameters.
-
-    Returns a (2m, 4) array: one row per stacked observation (all real
-    parts, then all imaginary parts) and one column per parameter in
-    PARAM_NAMES order, column k bumped by ``fractions[k]``.
-    """
-    fr = np.asarray(fractions, dtype=float)
-    if fr.shape != (4,):
-        raise ValueError("fractions must be a 4-vector")
-    _, quotients = _bumped_quotients(coil, ref, freqs, list(enumerate(fr)))
-    return np.column_stack(quotients)
-
-
-def sensitivity_spectrum(
-    coil: CoilGeometry,
-    ref: PlateParams,
-    param: str,
-    fractions=DEFAULT_FRACTIONS,
     freqs=None,
-):
-    """Finite-difference sensitivity curves for one parameter.
+    fractions=DEFAULT_FRACTIONS,
+) -> np.ndarray:
+    """One-sided difference quotients of the spectrum at ``ref``.
 
-    Returns rows (freq_hz, fraction, re_sens, im_sens), ordered by
-    fraction then frequency, where the sensitivity is the one-sided
-    difference quotient d(dL)/d(param) at that perturbation size.
+    Returns an (n_fractions, 2m, 4) array.  Entry [i, :, k] is
+    (dL(ref with parameter k raised by step) - dL(ref)) / step, where
+    step = fractions[i] * ref[k], stacked like a Jacobian column: the
+    real parts, then the imaginary parts, one per frequency; columns
+    follow PARAM_NAMES.  A relative step keeps every probe physical
+    even when the reference sits on a lower bound.  Fractions must be
+    finite and lie in (0, 0.5], and every parameter must be nonzero at
+    the reference (a relative step of 0 is 0).  ``freqs`` defaults to
+    the default band.
     """
-    if param not in PARAM_NAMES:
-        raise ValueError(f"param must be one of {PARAM_NAMES}, got {param!r}")
     fr = np.atleast_1d(np.asarray(fractions, dtype=float))
     if fr.size == 0:
         raise ValueError("need at least one perturbation fraction")
+    for fraction in fr:
+        if not (math.isfinite(fraction) and 0.0 < fraction <= 0.5):
+            raise ValueError(f"perturbation fractions must lie in (0, 0.5], got {fraction}")
+    p0 = ref.as_array()
+    for name, value in zip(PARAM_NAMES, p0):
+        if value == 0.0:
+            raise ValueError(
+                f"reference {name} is 0, so a relative perturbation "
+                "step of it is 0; choose a nonzero reference value"
+            )
     if freqs is None:
         freqs = default_frequencies()
-    k = PARAM_NAMES.index(param)
-    base, quotients = _bumped_quotients(coil, ref, freqs, [(k, frac) for frac in fr])
-    m = len(base)
-    return [
-        (float(f), float(frac), float(re), float(im))
-        for frac, q in zip(fr, quotients)
-        for f, re, im in zip(base.freqs, q[:m], q[m:])
-    ]
+    base = delta_l_spectrum(coil, ref, freqs).values
+    out = np.empty((fr.size, 2 * base.size, 4))
+    for i, fraction in enumerate(fr):
+        for k in range(4):
+            step = fraction * p0[k]
+            pk = p0.copy()
+            pk[k] += step
+            d = delta_l_spectrum(coil, PlateParams.from_array(pk), freqs).values - base
+            out[i, :, k] = np.concatenate([d.real, d.imag]) / step
+    return out
 
 
 def write_sensitivity_csv(path, rows):

@@ -3,8 +3,10 @@ random plates and data.
 
 Over the whole default bounds box, the forward model promises a finite
 exact Jacobian that matches central differences, a passive plate
-(Im dL <= 0 at every frequency) and |phi| <= 1 on every quadrature node,
-on the default band and at 10 Hz - 1 MHz.
+(Im dL <= 0 at every frequency), |phi| <= 1 on every quadrature node and
+a spectrum within 1e-10 of its peak of the benchmark's independent
+reference model (``bench/reference.py``), on the default band and at
+10 Hz - 1 MHz.
 
 ``invert`` promises three things for every input: it never raises on poor
 data, every iterate stays inside the bounds box, and the misfit it reports
@@ -15,7 +17,9 @@ suite stays reproducible; the iteration cap keeps each fit short, and the
 contracts hold at any cap.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -70,6 +74,30 @@ def test_forward_keeps_its_contracts(plate):
         want, steps, size = _difference_jacobian(COIL, plate, freqs)
         for k in range(4):
             _assert_column_matches(entries[:, k], want[k], steps[k], size, (plate, k))
+
+
+def _load_reference():
+    """``bench/reference.py``, loaded by path: it shares no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _load_reference()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(plate=plates)
+def test_forward_matches_the_independent_reference(plate):
+    for freqs in (default_frequencies(), WIDE_BAND):
+        want, spread = REFERENCE.spectrum(COIL, plate, freqs)
+        peak = np.abs(want).max()
+        # The reference's two rule orders agree far inside the budget.
+        assert spread <= 1e-12 * peak, plate
+        got = delta_l_spectrum(COIL, plate, freqs).values
+        assert np.abs(got - want).max() <= 1e-10 * peak, plate
 
 
 # (stacked index, replacement) of the corrupted observation, or None; a

@@ -1,12 +1,18 @@
-"""Perturbation-Jacobian checks: the difference-quotient contract, step-size
+"""Finite-difference checks: the difference-quotient contract, step-size
 saturation, skin-effect blindness to thickness, and frozen regressions."""
 
 import numpy as np
 import pytest
 
 import eddyspec.sensitivity as sens
-from eddyspec import PARAM_NAMES, PlateParams, delta_l_spectrum, jacobian
-from eddyspec.sensitivity import DEFAULT_FRACTIONS, sensitivity_spectrum, write_sensitivity_csv
+from eddyspec import (
+    PARAM_NAMES,
+    PlateParams,
+    default_frequencies,
+    delta_l_spectrum,
+    difference_quotients,
+)
+from eddyspec.sensitivity import DEFAULT_FRACTIONS, write_sensitivity_csv
 from eddyspec.samples import dp600
 
 # Jacobian at the DP600 reference with conductivity doubled, 1% steps,
@@ -31,16 +37,24 @@ SIGMA_DOUBLED_SNAPSHOT = np.array([
 ])
 
 
+def _quotients(coil, ref, freqs, fraction=0.01):
+    """The quotients at one step fraction: a (2m, 4) finite-difference Jacobian."""
+    return difference_quotients(coil, ref, freqs, [fraction])[0]
+
+
 def test_jacobian_shape_and_metadata(coil, band):
-    j = jacobian(coil, dp600(0.005), band)
-    assert isinstance(j, np.ndarray)
-    assert j.shape == (2 * len(band), 4)
-    assert np.all(np.isfinite(j))
+    q = difference_quotients(coil, dp600(0.005), band)
+    assert isinstance(q, np.ndarray)
+    assert q.shape == (len(DEFAULT_FRACTIONS), 2 * len(band), 4)
+    assert np.all(np.isfinite(q))
+    # No frequencies given: the default band.
+    q_default = difference_quotients(coil, dp600(0.005), fractions=[0.01])
+    assert q_default.shape == (1, 2 * len(default_frequencies()), 4)
 
 
 def test_jacobian_matches_difference_quotient(coil, band):
     ref = dp600(0.005)
-    j = jacobian(coil, ref, band)
+    j = _quotients(coil, ref, band)
     base = delta_l_spectrum(coil, ref, band)
     k = PARAM_NAMES.index("mu_r")
     step = 0.01 * ref.mu_r
@@ -49,53 +63,48 @@ def test_jacobian_matches_difference_quotient(coil, band):
     np.testing.assert_array_equal(j[:, k], want)
 
 
-def test_jacobian_costs_five_forward_evaluations(coil, band, monkeypatch):
-    calls = []
+def test_difference_quotients_cost_one_plus_four_spectra_per_fraction(
+        coil, band, monkeypatch):
     real = sens.delta_l_spectrum
+    for fractions in ([0.01], DEFAULT_FRACTIONS):
+        calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(sens, "delta_l_spectrum", counting)
-    jacobian(coil, dp600(0.005), band)
-    assert len(calls) == 5
+        monkeypatch.setattr(sens, "delta_l_spectrum", counting)
+        difference_quotients(coil, dp600(0.005), band, fractions)
+        assert len(calls) == 1 + 4 * len(fractions)
 
 
 def test_zero_reference_value_is_rejected(coil, band):
     # A relative step of a zero reference is zero: every quotient would be
-    # 0/0.  Only the parameter that is zero is refused.
+    # 0/0.  The parameter that is zero is named.
     thin = PlateParams(sigma=4.13e6, mu_r=222.0, t=0.0, l=5e-3)
     with pytest.raises(ValueError, match="reference t is 0"):
-        jacobian(coil, thin, band)
-    with pytest.raises(ValueError, match="reference t is 0"):
-        sensitivity_spectrum(coil, thin, "t", freqs=band)
+        difference_quotients(coil, thin, band)
     air = PlateParams(sigma=0.0, mu_r=222.0, t=1.4e-3, l=5e-3)
     with pytest.raises(ValueError, match="reference sigma is 0"):
-        sensitivity_spectrum(coil, air, "sigma", freqs=band)
-    rows = sensitivity_spectrum(coil, thin, "sigma", fractions=[0.01], freqs=band)
-    assert np.all(np.isfinite(np.array(rows)))
+        difference_quotients(coil, air, band)
 
 
 def test_jacobian_fraction_validation(coil, band):
-    with pytest.raises(ValueError):
-        jacobian(coil, dp600(0.005), band, fractions=(0.0, 0.01, 0.01, 0.01))
-    with pytest.raises(ValueError):
-        jacobian(coil, dp600(0.005), band, fractions=(0.6, 0.01, 0.01, 0.01))
-    with pytest.raises(ValueError):
-        jacobian(coil, dp600(0.005), band, fractions=(0.01, 0.01, 0.01))
+    for bad in ([0.0], [0.6], [0.01, 0.6]):
+        with pytest.raises(ValueError, match="perturbation fractions"):
+            difference_quotients(coil, dp600(0.005), band, bad)
+    with pytest.raises(ValueError, match="at least one perturbation fraction"):
+        difference_quotients(coil, dp600(0.005), band, [])
     # NaN passes both "<= 0" and "> 0.5"; it must be refused as a fraction.
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="perturbation fractions"):
-            jacobian(coil, dp600(0.005), band, fractions=(0.01, bad, 0.01, 0.01))
+            difference_quotients(coil, dp600(0.005), band, [0.01, bad])
 
 
 def test_step_size_saturation(coil, band):
     # Shrinking an already-small step barely moves any column; a 50% step
     # leaves the saturated regime entirely.
-    j1 = jacobian(coil, dp600(0.005), band, fractions=(0.01,) * 4)
-    j_half = jacobian(coil, dp600(0.005), band, fractions=(0.005,) * 4)
-    j50 = jacobian(coil, dp600(0.005), band, fractions=(0.5,) * 4)
+    j_half, j1, j50 = difference_quotients(coil, dp600(0.005), band, (0.005, 0.01, 0.5))
     for k in range(4):
         norm = np.linalg.norm(j1[:, k])
         assert np.linalg.norm(j1[:, k] - j_half[:, k]) < 0.02 * norm
@@ -109,7 +118,7 @@ def test_step_size_saturation(coil, band):
 
 def test_one_sided_matches_central_difference(coil, band):
     ref = dp600(0.005)
-    j1 = jacobian(coil, ref, band)
+    j1 = _quotients(coil, ref, band)
     p0 = ref.as_array()
     for k in range(4):
         h = 0.005 * p0[k]
@@ -128,7 +137,7 @@ def test_thickness_rows_vanish_above_skin_depth(coil):
     # At 1 MHz the skin depth in DP600 is tens of microns, far under the
     # 1.4 mm plate, so the high-frequency rows of the t column collapse.
     freqs = np.geomspace(1e2, 3e6, 12)
-    j = jacobian(coil, dp600(0.005), freqs)
+    j = _quotients(coil, dp600(0.005), freqs)
     hf = freqs >= 1e6
     sel = np.concatenate([hf, hf])
     tcol = np.abs(j[:, 2])
@@ -138,8 +147,8 @@ def test_thickness_rows_vanish_above_skin_depth(coil):
 def test_sigma_doubled_reference_regression(coil, band):
     ref = dp600(0.005)
     doubled = PlateParams(sigma=2.0 * ref.sigma, mu_r=ref.mu_r, t=ref.t, l=ref.l)
-    j_ref = jacobian(coil, ref, band)
-    j2 = jacobian(coil, doubled, band)
+    j_ref = _quotients(coil, ref, band)
+    j2 = _quotients(coil, doubled, band)
     # the conductivity column genuinely moves with the reference
     rel = np.linalg.norm(j2[:, 0] - j_ref[:, 0])
     assert rel > 0.1 * np.linalg.norm(j_ref[:, 0])
@@ -155,7 +164,7 @@ def test_log_scaled_column_norms(coil, band):
     # Per-relative-change sensitivities over the default band: conductivity
     # and permeability dominate, thickness trails at roughly a fifth of the
     # conductivity norm.  Pinned as measured behavior at this reference.
-    j = jacobian(coil, dp600(0.005), band)
+    j = _quotients(coil, dp600(0.005), band)
     norms = np.linalg.norm(j * dp600(0.005).as_array(), axis=0)
     ratio = norms[2] / norms[0]
     assert 0.12 < ratio < 0.25
@@ -164,54 +173,30 @@ def test_log_scaled_column_norms(coil, band):
 
 
 def test_jacobian_rebuild_is_bit_identical(coil, band):
-    a = jacobian(coil, dp600(0.005), band)
-    b = jacobian(coil, dp600(0.005), band)
+    a = _quotients(coil, dp600(0.005), band)
+    b = _quotients(coil, dp600(0.005), band)
     np.testing.assert_array_equal(a, b)
 
 
 def test_sensitivity_spectrum_rows(coil, band):
-    rows = sensitivity_spectrum(coil, dp600(0.005), "sigma", freqs=band)
-    assert len(rows) == len(DEFAULT_FRACTIONS) * len(band)
-    fracs = [r[1] for r in rows]
-    assert fracs == sorted(fracs)
-    m = len(band)
-    for i in range(m):
-        assert rows[i][0] == band[i]
-
-
-def test_sensitivity_spectrum_equals_jacobian_column(coil, band):
-    # one difference quotient, read through both code paths
-    j = jacobian(coil, dp600(0.005), band)
-    m = len(band)
-    for k, name in enumerate(PARAM_NAMES):
-        rows = sensitivity_spectrum(coil, dp600(0.005), name, fractions=[0.01], freqs=band)
-        np.testing.assert_array_equal([r[2] for r in rows], j[:m, k])
-        np.testing.assert_array_equal([r[3] for r in rows], j[m:, k])
+    # Slice i holds fraction i, whatever other fractions share the call.
+    q = difference_quotients(coil, dp600(0.005), band)
+    for i, fraction in enumerate(DEFAULT_FRACTIONS):
+        np.testing.assert_array_equal(q[i], _quotients(coil, dp600(0.005), band, fraction))
 
 
 def test_sensitivity_spectrum_empty_frequency_list(coil):
-    assert sensitivity_spectrum(coil, dp600(0.005), "t", freqs=[]) == []
-
-
-def test_sensitivity_spectrum_validation(coil, band):
-    with pytest.raises(ValueError):
-        sensitivity_spectrum(coil, dp600(0.005), "thickness", freqs=band)
-    with pytest.raises(ValueError):
-        sensitivity_spectrum(coil, dp600(0.005), "t", fractions=[0.0], freqs=band)
-    with pytest.raises(ValueError):
-        sensitivity_spectrum(coil, dp600(0.005), "t", fractions=[], freqs=band)
-    with pytest.raises(ValueError, match="perturbation fractions"):
-        sensitivity_spectrum(coil, dp600(0.005), "t", fractions=[0.01, np.nan], freqs=band)
+    assert difference_quotients(coil, dp600(0.005), []).shape == (len(DEFAULT_FRACTIONS), 0, 4)
 
 
 def test_write_sensitivity_csv(tmp_path, coil):
     freqs = [1e3, 1e4]
-    rows = []
-    for name in PARAM_NAMES:
-        for f, frac, re, im in sensitivity_spectrum(
-            coil, dp600(0.005), name, fractions=[0.01], freqs=freqs
-        ):
-            rows.append((f, name, frac, re, im))
+    j = _quotients(coil, dp600(0.005), freqs)
+    rows = [
+        (f, name, 0.01, j[i, k], j[len(freqs) + i, k])
+        for k, name in enumerate(PARAM_NAMES)
+        for i, f in enumerate(freqs)
+    ]
     out = tmp_path / "sens.csv"
     write_sensitivity_csv(out, rows)
     lines = out.read_text().splitlines()
