@@ -90,15 +90,20 @@ def test_zero_reference_value_is_rejected(coil, band):
 
 
 def test_jacobian_fraction_validation(coil, band):
-    for bad in ([0.0], [0.6], [0.01, 0.6]):
+    # Above 0.5, alone or beside a legal fraction, or infinite.
+    for bad in ([0.6], [0.01, 0.6], [0.01, np.inf]):
         with pytest.raises(ValueError, match="perturbation fractions"):
             difference_quotients(coil, dp600(0.005), band, bad)
+
+
+def test_sensitivity_spectrum_validation(coil, band):
+    with pytest.raises(ValueError, match="perturbation fractions"):
+        difference_quotients(coil, dp600(0.005), band, [0.0])
     with pytest.raises(ValueError, match="at least one perturbation fraction"):
         difference_quotients(coil, dp600(0.005), band, [])
     # NaN passes both "<= 0" and "> 0.5"; it must be refused as a fraction.
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="perturbation fractions"):
-            difference_quotients(coil, dp600(0.005), band, [0.01, bad])
+    with pytest.raises(ValueError, match="perturbation fractions"):
+        difference_quotients(coil, dp600(0.005), band, [0.01, np.nan])
 
 
 def test_step_size_saturation(coil, band):
