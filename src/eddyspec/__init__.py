@@ -10,9 +10,12 @@ parameters the data cannot resolve.
 All internal quantities are strict SI (m, S/m, H, Hz).  Millimetres and
 MS/m appear only in the file formats and on the command line, and the
 conversion lives in ``dataio`` alone.
+
+``delta_l_spectrum`` is the one public way to evaluate the model.  The
+coil integral and the quadrature grid behind it (``specfun.p_integral``,
+``specfun.build_grid``) are not re-exported here.
 """
 
-from .specfun import build_grid, p_integral
 from .forward import (
     MU0,
     PARAM_NAMES,
@@ -22,7 +25,6 @@ from .forward import (
     alpha1,
     coil_grid,
     default_frequencies,
-    delta_l,
     delta_l_spectrum,
     impedance_to_inductance,
 )
@@ -48,15 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MU0",
-    "build_grid",
-    "p_integral",
     "CoilGeometry",
     "PlateParams",
     "InductanceSpectrum",
     "alpha1",
     "coil_grid",
     "default_frequencies",
-    "delta_l",
     "delta_l_spectrum",
     "impedance_to_inductance",
     "PARAM_NAMES",

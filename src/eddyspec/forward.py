@@ -86,7 +86,6 @@ __all__ = [
     "coil_constant",
     "truncation_alpha_max",
     "coil_grid",
-    "delta_l",
     "delta_l_spectrum",
     "impedance_to_inductance",
     "default_frequencies",
@@ -239,10 +238,8 @@ def default_frequencies(
     """Log-spaced measurement frequencies in Hz."""
     if not 0.0 < fmin < fmax < math.inf:
         raise ValueError(f"need 0 < fmin < fmax < inf, got {fmin}, {fmax}")
-    if m < 1:
-        raise ValueError("need at least one frequency")
-    if m == 1:
-        return np.array([fmin])
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     return np.geomspace(fmin, fmax, m)
 
 
@@ -328,17 +325,16 @@ def truncation_alpha_max(coil: CoilGeometry) -> float:
 def coil_grid(coil: CoilGeometry):
     """Quadrature nodes and coil weights, built once per coil.
 
-    Returns (nodes, weights) with weights = K * w * P(alpha)^2 / alpha^6:
-    everything in the integrand that depends only on the coil, so the
-    cache is shared by every frequency and every plate evaluated with
-    this coil.
+    Returns read-only (nodes, weights) with weights = K * w * P(alpha)^2
+    / alpha^6: everything in the integrand that depends only on the coil,
+    so the cache is shared by every frequency and every plate evaluated
+    with this coil.
     """
     alpha_max = truncation_alpha_max(coil)
     n_uniform = max(_MIN_PANELS, math.ceil(alpha_max * coil.r2 / _PANEL_PHASE))
-    grid = build_grid(panel_edges(alpha_max, n_uniform, _ALPHA_FLOOR))
-    a = grid.nodes
+    a, w = build_grid(panel_edges(alpha_max, n_uniform, _ALPHA_FLOOR))
     p = p_integral(a, coil.r1, coil.r2)
-    weights = coil_constant(coil) * grid.weights * p**2 / a**6
+    weights = coil_constant(coil) * w * p**2 / a**6
     weights.flags.writeable = False
     return a, weights
 
@@ -352,8 +348,10 @@ def delta_l(
 ):
     """Inductance change of the gradiometer pair at a single frequency.
 
-    ``weights`` must be the coil weights of ``coil_grid`` times
-    ``a_factor(nodes, coil, plate.l)``, the plate's axial factor.
+    Internal: ``delta_l_spectrum`` calls it once per frequency, after
+    checking the frequencies, with ``weights`` the coil weights of
+    ``coil_grid`` times ``a_factor(nodes, coil, plate.l)``, the plate's
+    axial factor.  Any other weights give a wrong dL.
     With ``jacobian`` the return value is (dL, grad), grad being the
     complex 4-vector d(dL)/d(sigma, mu_r, t, l), from the same kernel
     values and in closed form:
@@ -373,10 +371,6 @@ def delta_l(
     but it comes from a pole at alpha = 0 that no grid resolves.  A
     finite number there would only tell where the lowest node sits.
     """
-    if not 0.0 < freq < math.inf:
-        raise ValueError(f"frequency must be finite and positive, got {freq}")
-    if weights.shape != nodes.shape:
-        raise ValueError("weights are not aligned with the quadrature nodes")
     omega = 2.0 * math.pi * freq
     a1, u, v, e, d, ph = _reflection(nodes, omega, plate)
     if not jacobian:

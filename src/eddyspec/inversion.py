@@ -293,26 +293,22 @@ def invert(
         # Misfit the ridge directions could remove, were they trusted.
         ridge_gain = 0.5 * float(np.sum((u[:, n_stiff:].T @ r) ** 2))
 
-        if n_ridge and stiff_norm >= _STIFF_DONE:
-            y, log_step = y_stiff, False
-        elif n_ridge and (
-            ridge_gain < _RIDGE_GAIN * misfit or sv[-1] < _SINGULAR_CUT * sv[0]
-        ):
-            # The ridge cannot pay for itself: its predicted gain is
-            # buried in the residual (noise) floor, or it is too flat for
-            # the full step to resolve.  Freeze it and converge on the
-            # identifiable combinations alone.
-            if stiff_norm < _STEP_TOL:
-                converged = True
-                message = "update below step tolerance (ridge frozen)"
-                break
-            y, log_step = y_stiff, False
-        else:
-            y, log_step = _svd_step(u, sv, vt, r, sv.size), True
-            if float(np.linalg.norm(y)) < _STEP_TOL:
-                converged = True
-                message = "update below step tolerance"
-                break
+        # The stiff step is taken alone, with the ridge frozen, while the
+        # stiff phase runs (a step of _STIFF_DONE or more, so the stop
+        # test below cannot fire) and when the ridge cannot pay for
+        # itself: its predicted gain is buried in the residual (noise)
+        # floor, or it is too flat for the full step to resolve.
+        frozen = n_ridge > 0 and (
+            stiff_norm >= _STIFF_DONE
+            or ridge_gain < _RIDGE_GAIN * misfit
+            or sv[-1] < _SINGULAR_CUT * sv[0]
+        )
+        y = y_stiff if frozen else _svd_step(u, sv, vt, r, sv.size)
+        log_step = not frozen
+        if float(np.linalg.norm(y)) < _STEP_TOL:
+            converged = True
+            message = "update below step tolerance" + (" (ridge frozen)" if frozen else "")
+            break
         step = np.zeros(4)
         step[keep] = y * p_arr[keep]
 

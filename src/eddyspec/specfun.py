@@ -42,14 +42,12 @@ docstring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 __all__ = [
-    "QuadratureGrid",
     "p_integral",
     "panel_edges",
     "build_grid",
@@ -117,41 +115,6 @@ def p_integral(alpha, r1: float, r2: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Fixed nodes and weights for integrals over spatial frequency.
-
-    Nodes are strictly increasing and strictly positive, weights strictly
-    positive; together they integrate smooth functions over (0, alpha_max].
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if nodes.size and nodes[0] <= 0.0:
-            raise ValueError("quadrature nodes must be strictly positive")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("quadrature nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be strictly positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray):
-        """Weighted sum approximating the integral of sampled values."""
-        return np.sum(self.weights * values, axis=-1)
-
-
 def panel_edges(alpha_max: float, n_uniform: int, alpha_min: float) -> np.ndarray:
     """Panel edges of the forward grid on [0, alpha_max], graded toward 0.
 
@@ -169,13 +132,23 @@ def panel_edges(alpha_max: float, n_uniform: int, alpha_min: float) -> np.ndarra
     return np.concatenate([[0.0], graded, uniform[1:]])
 
 
-def build_grid(edges) -> QuadratureGrid:
+def build_grid(edges) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre grid: a ``_PANEL_ORDER``-point rule on each
-    panel between consecutive ``edges`` (strictly increasing, from 0 up)."""
+    panel between consecutive ``edges`` (strictly increasing, from 0 up).
+
+    Returns read-only (nodes, weights), with ``weights @ f(nodes)``
+    approximating the integral of f over [edges[0], edges[-1]].  The
+    nodes are strictly positive and increasing and the weights strictly
+    positive, because every Gauss-Legendre node lies inside its panel.
+    """
     e = np.asarray(edges, dtype=float)
     if e.ndim != 1 or e.size < 2 or e[0] != 0.0 or np.any(np.diff(e) <= 0.0):
         raise ValueError("edges must increase strictly from 0 with at least one panel")
     x, w = leggauss(_PANEL_ORDER)
     half = 0.5 * np.diff(e)[:, None]
     mid = 0.5 * (e[1:] + e[:-1])[:, None]
-    return QuadratureGrid(nodes=(mid + half * x).ravel(), weights=(half * w).ravel())
+    nodes = (mid + half * x).ravel()
+    weights = (half * w).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from eddyspec import build_grid, p_integral
-from eddyspec.specfun import QuadratureGrid, panel_edges
+from eddyspec.forward import CoilGeometry, coil_grid
+from eddyspec.specfun import build_grid, p_integral, panel_edges
 
 # int_0^1 x J1(x) dx: midpoint rule with 1e6 panels gives
 # 0.15453272353176178, mpmath 0.15453272353179369 (40 digits).
@@ -109,9 +109,9 @@ def test_p_integral_tolerance_depth():
 def test_build_grid_polynomial_exactness():
     # 12 points per panel integrate degree 23 exactly, on any panels.
     for edges in ([0.0, 1.0], panel_edges(1.0, 3, 1e-6)):
-        grid = build_grid(edges)
-        assert abs(grid.integrate(grid.nodes**23) - 1.0 / 24.0) < 1e-14
-        assert abs(grid.integrate(grid.nodes**2) - 1.0 / 3.0) < 1e-12 / 3.0
+        a, w = build_grid(edges)
+        assert abs(w @ a**23 - 1.0 / 24.0) < 1e-14
+        assert abs(w @ a**2 - 1.0 / 3.0) < 1e-12 / 3.0
 
 
 def test_build_grid_counts_and_range():
@@ -122,31 +122,31 @@ def test_build_grid_counts_and_range():
     np.testing.assert_allclose(np.diff(edges[-8:]), 50.0, rtol=1e-12)
     np.testing.assert_allclose(edges[1:28] / 50.0, 0.5 ** np.arange(26, -1, -1), rtol=1e-15)
     assert edges[1] <= 1e-6 < edges[2]
-    grid = build_grid(edges)
-    assert len(grid) == (8 + 26) * 12
-    assert grid.nodes[0] > 0.0
-    assert grid.nodes[-1] <= 400.0
-    assert np.all(np.diff(grid.nodes) > 0.0)
-    assert np.all(grid.weights > 0.0)
-    assert len(build_grid(panel_edges(400.0, 20, 1e-6))) == (20 + 25) * 12
+    a, w = build_grid(edges)
+    assert a.size == w.size == (8 + 26) * 12
+    assert a[0] > 0.0
+    assert a[-1] <= 400.0
+    assert np.all(np.diff(a) > 0.0)
+    assert np.all(w > 0.0)
+    assert build_grid(panel_edges(400.0, 20, 1e-6))[0].size == (20 + 25) * 12
     # a first panel already inside the floor is not split
     assert panel_edges(2.0, 2, 1.0).tolist() == [0.0, 1.0, 2.0]
 
 
 def test_build_grid_exponential_integral():
-    grid = build_grid(panel_edges(50.0, 8, 1e-6))
+    a, w = build_grid(panel_edges(50.0, 8, 1e-6))
     exact = 1.0 - math.exp(-50.0)
-    assert abs(grid.integrate(np.exp(-grid.nodes)) - exact) < 1e-14
+    assert abs(w @ np.exp(-a) - exact) < 1e-14
     # decay on any scale, as the axial factor has at any lift-off
     for c in (1e-3, 1.0, 1e3, 1e5):
         exact = -math.expm1(-50.0 * c)
-        assert abs(grid.integrate(c * np.exp(-c * grid.nodes)) - exact) < 1e-13 * exact, c
+        assert abs(w @ (c * np.exp(-c * a)) - exact) < 1e-13 * exact, c
 
 
 def test_build_grid_integrates_constants_exactly():
     for alpha_max, n in ((1.0, 1), (400.0, 8), (7.5, 10)):
-        grid = build_grid(panel_edges(alpha_max, n, 1e-6))
-        assert abs(grid.integrate(np.ones(len(grid))) - alpha_max) < 1e-12 * alpha_max
+        a, w = build_grid(panel_edges(alpha_max, n, 1e-6))
+        assert abs(w @ np.ones(a.size) - alpha_max) < 1e-12 * alpha_max
 
 
 def test_build_grid_validation():
@@ -159,18 +159,9 @@ def test_build_grid_validation():
             build_grid(edges)
 
 
-def test_quadrature_grid_validation():
-    with pytest.raises(ValueError):
-        QuadratureGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuadratureGrid(nodes=np.array([1.0, 1.0]), weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        QuadratureGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        QuadratureGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0]))
-
-
 def test_quadrature_grid_is_frozen():
-    grid = build_grid([0.0, 1.0])
-    with pytest.raises(ValueError):
-        grid.nodes[0] = 0.5
+    # coil_grid's cache hands the same arrays to every caller.
+    for arrays in (build_grid([0.0, 1.0]), coil_grid(CoilGeometry())):
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x[0] = 0.5
