@@ -12,8 +12,9 @@ MS/m appear only in the file formats and on the command line, and the
 conversion lives in ``dataio`` alone.
 
 ``delta_l_spectrum`` is the one public way to evaluate the model.  The
-coil integral and the quadrature grid behind it (``specfun.p_integral``,
-``specfun.build_grid``) are not re-exported here.
+plate wavenumber, the cached coil weights and the coil integral and
+quadrature grid behind them (``forward.alpha1``, ``forward.coil_grid``,
+``specfun.p_integral``, ``specfun.build_grid``) are not re-exported here.
 """
 
 from .forward import (
@@ -22,8 +23,6 @@ from .forward import (
     CoilGeometry,
     InductanceSpectrum,
     PlateParams,
-    alpha1,
-    coil_grid,
     default_frequencies,
     delta_l_spectrum,
     impedance_to_inductance,
@@ -53,8 +52,6 @@ __all__ = [
     "CoilGeometry",
     "PlateParams",
     "InductanceSpectrum",
-    "alpha1",
-    "coil_grid",
     "default_frequencies",
     "delta_l_spectrum",
     "impedance_to_inductance",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -142,10 +141,6 @@ def cmd_forward(args) -> int:
 def cmd_sensitivity(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
-    svg = out.with_suffix(".svg")
-    if args.svg and svg == out:
-        raise ValueError(f"--svg would write its plot over --out {out}; "
-                         "give the CSV another suffix")
     coil = _load_coil(args.coil)
     plate = load_plate_config(args.plate)
     freqs = _resolve_freqs(args)
@@ -159,107 +154,13 @@ def cmd_sensitivity(args) -> int:
         for j, freq in enumerate(freqs)
     ]
     write_sensitivity_csv(out, rows)
-    outputs = [out]
-    if args.svg:
-        _plot_sensitivity(rows, svg)
-        outputs.append(svg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     config = _band_config(args, freqs)
     config["fractions"] = list(fractions)
-    config["svg"] = bool(args.svg)
     _write_manifest(out, "sensitivity", config,
-                    {"coil": args.coil, "plate": args.plate}, outputs, wall_ms=wall_ms)
+                    {"coil": args.coil, "plate": args.plate}, [out], wall_ms=wall_ms)
     print(f"wrote {len(rows)} sensitivity rows to {out}")
     return 0
-
-
-# Sensitivity plot geometry in SVG user units: a 2x2 grid of panels, each
-# with a plot box inset by the margins that hold the title and tick labels.
-_PANEL_W, _PANEL_H = 450, 350
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 75, 15, 30, 45
-_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-# (label, row column, stroke style) for the two curves of each fraction.
-_PARTS = (("Re", 3, ""), ("Im", 4, ' stroke-dasharray="6,4"'))
-
-
-def _span(values) -> tuple[float, float]:
-    """(lo, hi) of the values, widened where needed so that hi > lo."""
-    lo, hi = min(values), max(values)
-    if hi > lo:
-        return lo, hi
-    pad = 0.5 * abs(lo) or 1.0
-    return lo - pad, hi + pad
-
-
-def _plot_sensitivity(rows, svg_path: Path):
-    """Decorative per-parameter sensitivity plot; the CSV is the contract.
-
-    One panel per parameter, with Re (solid) and Im (dashed) against log
-    frequency for each perturbation fraction.  Written directly as SVG,
-    with fixed number formatting, so a rerun gives the same bytes.
-    """
-    fractions = sorted({r[2] for r in rows})
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * _PANEL_W}" '
-        f'height="{2 * _PANEL_H}" viewBox="0 0 {2 * _PANEL_W} {2 * _PANEL_H}" '
-        'font-family="sans-serif" font-size="11">',
-        f'<rect width="{2 * _PANEL_W}" height="{2 * _PANEL_H}" fill="white"/>',
-    ]
-    for k, name in enumerate(PARAM_NAMES):
-        sel = [r for r in rows if r[1] == name]
-        xlo, xhi = _span([math.log10(r[0]) for r in sel])
-        ylo, yhi = _span([v for r in sel for v in (r[3], r[4])])
-        x0 = (k % 2) * _PANEL_W + _MARGIN_L
-        y0 = (k // 2) * _PANEL_H + _MARGIN_T
-        w = _PANEL_W - _MARGIN_L - _MARGIN_R
-        h = _PANEL_H - _MARGIN_T - _MARGIN_B
-
-        def px(freq):
-            return x0 + (math.log10(freq) - xlo) / (xhi - xlo) * w
-
-        def py(v):
-            return y0 + h - (v - ylo) / (yhi - ylo) * h
-
-        out.append(f'<g class="panel" id="panel-{name}">')
-        out.append(f'<text class="title" x="{x0 + w / 2:.2f}" y="{y0 - 10}" '
-                   f'text-anchor="middle" font-size="13">{name}</text>')
-        out.append(f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
-                   'fill="none" stroke="black"/>')
-        for d in range(math.ceil(xlo), math.floor(xhi) + 1):
-            x = px(10.0 ** d)
-            out.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + h}" '
-                       'stroke="#ccc"/>')
-            out.append(f'<text x="{x:.2f}" y="{y0 + h + 14}" '
-                       f'text-anchor="middle">1e{d}</text>')
-        for v, y in ((yhi, y0), (ylo, y0 + h)):
-            out.append(f'<text x="{x0 - 4}" y="{y + 4}" text-anchor="end">{v:.3g}</text>')
-        if k >= 2:
-            out.append(f'<text x="{x0 + w / 2:.2f}" y="{y0 + h + 32}" '
-                       'text-anchor="middle">frequency (Hz)</text>')
-        for i, frac in enumerate(fractions):
-            color = _COLORS[i % len(_COLORS)]
-            pts = [r for r in sel if r[2] == frac]
-            for _, col, dash in _PARTS:
-                xy = [f"{px(r[0]):.2f},{py(r[col]):.2f}" for r in pts]
-                if len(xy) == 1:
-                    xy *= 2  # a zero-length line, drawn as a dot by the round cap
-                out.append(f'<polyline points="{" ".join(xy)}" fill="none" '
-                           f'stroke="{color}" stroke-width="1.5" '
-                           f'stroke-linecap="round"{dash}/>')
-        out.append("</g>")
-    # Legend in the first panel, one solid/dashed pair per fraction.
-    for i, frac in enumerate(fractions):
-        color = _COLORS[i % len(_COLORS)]
-        for j, (part, _, dash) in enumerate(_PARTS):
-            y = _MARGIN_T + 14 + 14 * (2 * i + j)
-            x = _PANEL_W - _MARGIN_R - 90
-            out.append(f'<line x1="{x}" y1="{y}" x2="{x + 20}" y2="{y}" '
-                       f'stroke="{color}" stroke-width="1.5"{dash}/>')
-            out.append(f'<text x="{x + 25}" y="{y + 4}" font-size="9">{part}, {frac:g}</text>')
-    out.append("</svg>")
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
 
 
 def cmd_synth(args) -> int:
@@ -454,7 +355,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output sensitivity CSV")
     p.add_argument("--fractions", type=_float_list, default=list(DEFAULT_FRACTIONS),
                    metavar="F1,F2,...", help="perturbation fractions (default 0.01,0.05,0.1,0.5)")
-    p.add_argument("--svg", action="store_true", help="also write a decorative SVG plot")
     _add_band_flags(p)
     p.set_defaults(func=cmd_sensitivity)
 

@@ -26,6 +26,7 @@ line and beside the solver: it imports nothing from ``inversion``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,9 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError(f"amplitude must lie in [0, 1), got {self.amplitude}")
+        # numpy's generator refuses a float seed only when it is first drawn.
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

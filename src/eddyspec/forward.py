@@ -80,11 +80,6 @@ __all__ = [
     "PARAM_NAMES",
     "PlateParams",
     "InductanceSpectrum",
-    "alpha1",
-    "phi",
-    "a_factor",
-    "coil_constant",
-    "truncation_alpha_max",
     "coil_grid",
     "delta_l_spectrum",
     "impedance_to_inductance",
@@ -243,25 +238,17 @@ def default_frequencies(
     return np.geomspace(fmin, fmax, m)
 
 
-def _as_alpha_array(alpha):
-    a = np.asarray(alpha, dtype=float)
-    scalar = a.ndim == 0
-    return np.atleast_1d(a), scalar
-
-
 def alpha1(alpha, omega: float, sigma: float, mu_r: float):
     """Wavenumber inside the plate: sqrt(alpha^2 + j*omega*sigma*mu_r*mu0).
 
     Principal branch, so Re(alpha1) > 0 for alpha > 0; reduces exactly to
     alpha for a non-conducting plate.
     """
-    a, scalar = _as_alpha_array(alpha)
+    a = np.asarray(alpha, dtype=float)
     k2 = omega * sigma * mu_r * MU0
     if k2 == 0.0:
-        out = a.astype(complex)
-    else:
-        out = np.sqrt(a * a + 1j * k2)
-    return complex(out[0]) if scalar else out
+        return a.astype(complex)
+    return np.sqrt(a * a + 1j * k2)
 
 
 def _reflection(a, omega: float, plate: PlateParams):
@@ -289,9 +276,7 @@ def phi(alpha, omega: float, plate: PlateParams):
     half-space value v/u, and sigma -> 0 with mu_r = 1 gives 0 (plate
     indistinguishable from air).  |phi| <= 1 for all passive plates.
     """
-    a, scalar = _as_alpha_array(alpha)
-    out = _reflection(a, omega, plate)[-1]
-    return complex(out[0]) if scalar else out
+    return _reflection(np.asarray(alpha, dtype=float), omega, plate)[-1]
 
 
 def a_factor(alpha, coil: CoilGeometry, l: float):
@@ -301,9 +286,8 @@ def a_factor(alpha, coil: CoilGeometry, l: float):
     """
     if l <= 0.0:
         raise ValueError(f"lift-off must be positive, got {l}")
-    a, scalar = _as_alpha_array(alpha)
-    out = np.exp(-a * (2.0 * l + coil.h + coil.g)) * (np.exp(-2.0 * a * coil.h) + 1.0)
-    return float(out[0]) if scalar else out
+    a = np.asarray(alpha, dtype=float)
+    return np.exp(-a * (2.0 * l + coil.h + coil.g)) * (np.exp(-2.0 * a * coil.h) + 1.0)
 
 
 def coil_constant(coil: CoilGeometry) -> float:

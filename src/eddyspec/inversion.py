@@ -63,7 +63,6 @@ __all__ = [
     "ParamBounds",
     "InversionConfig",
     "InversionResult",
-    "objective",
     "invert",
 ]
 

@@ -8,8 +8,9 @@ pair.  Across fractions the quotients show how the response saturates
 as the perturbation grows into the nonlinear range; that saturation,
 not the derivative itself, is what this module is for.  The solver
 takes the exact Jacobian from the forward kernel instead
-(``delta_l_spectrum(..., jacobian=True)``), and only the command line
-imports this module.
+(``delta_l_spectrum(..., jacobian=True)``).  Within the package only
+the command line calls this module; ``eddyspec/__init__`` imports it
+too, to re-export ``difference_quotients``.
 """
 
 from __future__ import annotations

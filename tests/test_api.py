@@ -1,5 +1,6 @@
 """The package's public names and its module layering: every ``__all__``
-entry must resolve, and each module may import only the layers below it."""
+entry must resolve, the package exports a fixed set of names, and each
+module may import only the layers below it."""
 
 import ast
 import importlib
@@ -26,6 +27,20 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_exports_exactly_these_names():
+    # A new re-export has to change this set, so it shows up in review.
+    assert set(eddyspec.__all__) == {
+        "MU0", "PARAM_NAMES", "CoilGeometry", "PlateParams", "InductanceSpectrum",
+        "default_frequencies", "delta_l_spectrum", "impedance_to_inductance",
+        "difference_quotients", "InversionConfig", "ParamBounds", "invert",
+        "inversion_report", "ConfigFormatError", "SpectrumFormatError", "NoiseModel",
+        "add_noise", "convert_impedance_file", "load_coil_config", "load_inversion_config",
+        "load_plate_config", "load_spectrum", "save_plate_config", "save_spectrum",
+        "samples", "__version__",
+    }
+    assert len(eddyspec.__all__) == 26
 
 
 def _package_imports(name):

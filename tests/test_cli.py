@@ -6,13 +6,11 @@ runs compare bitwise against direct library calls.
 """
 
 import json
-import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from eddyspec import (
-    PARAM_NAMES,
     CoilGeometry,
     PlateParams,
     default_frequencies,
@@ -314,57 +312,29 @@ def test_invert_manifest_config_reproduces_the_fit(tmp_path):
 # --------------------------------------------------------------- sensitivity
 
 
-def test_sensitivity_csv_and_svg(tmp_path, plate_cfg):
+def test_sensitivity_csv(tmp_path, plate_cfg):
     out = tmp_path / "sens.csv"
     assert main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
-                 "--freqs-hz", "1e3,1e4", "--fractions", "0.01,0.1",
-                 "--svg"]) == 0
+                 "--freqs-hz", "1e3,1e4", "--fractions", "0.01,0.1"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "freq_hz,param,fraction,re_sens,im_sens"
     assert len(lines) == 1 + 4 * 2 * 2  # params * fractions * freqs
-    svg = tmp_path / "sens.svg"
-    assert svg.exists()
-    assert svg.read_text().lstrip().startswith("<?xml")
     man = _manifest(out)
     assert man["config"]["fractions"] == [0.01, 0.1]
-    assert man["config"]["svg"] is True
-    assert str(svg) in man["outputs"]
+    assert man["outputs"] == [str(out)]
 
 
-def test_sensitivity_svg_is_deterministic_xml_with_one_panel_per_parameter(
-        tmp_path, plate_cfg):
-    svgs = []
-    for run in ("a", "b"):
-        out = tmp_path / f"{run}.csv"
-        assert main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
-                     "--freqs-hz", "1e2,1e3,1e4,1e5", "--fractions", "0.01,0.1",
-                     "--svg"]) == 0
-        svgs.append((tmp_path / f"{run}.svg").read_bytes())
-    assert svgs[0] == svgs[1]
-    ns = "{http://www.w3.org/2000/svg}"
-    root = ET.fromstring(svgs[0])
-    panels = [g for g in root.iter(f"{ns}g") if g.get("class") == "panel"]
-    assert [g.find(f"{ns}text[@class='title']").text for g in panels] == list(PARAM_NAMES)
-    for g in panels:
-        assert len(g.findall(f"{ns}polyline")) == 2 * 2  # Re and Im per fraction
-
-    # One frequency makes every x range a single point; it must still plot.
-    out = tmp_path / "one.csv"
-    assert main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
-                 "--freqs-hz", "1e3", "--svg"]) == 0
-    text = (tmp_path / "one.svg").read_text()
-    ET.fromstring(text)
-    assert "nan" not in text and "inf" not in text
-
-
-def test_sensitivity_refuses_svg_over_the_csv(tmp_path, plate_cfg, capsys):
-    # --out with an .svg suffix would be the plot's own path.
-    out = tmp_path / "s.svg"
-    code = main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
-                 "--freqs-hz", "1e3", "--svg"])
+def test_sensitivity_svg_is_a_usage_error(tmp_path, plate_cfg, capsys):
+    # The CSV is the data of record; there is no plot and no flag for one.
+    out = tmp_path / "sens.csv"
+    try:  # argparse exits on an unknown flag
+        code = main(["sensitivity", "--plate", str(plate_cfg), "--out", str(out),
+                     "--freqs-hz", "1e3", "--svg"])
+    except SystemExit as err:
+        code = err.code
     assert code == 1
-    assert "--svg" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [plate_cfg]
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sensitivity_zero_reference_is_a_usage_error(tmp_path, capsys):

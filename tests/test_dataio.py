@@ -1,6 +1,8 @@
 """File format and noise model tests: exact round trips, row-addressed
 rejection of malformed input, and the seeded-noise contract."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,9 @@ def test_noise_model_validation():
         NoiseModel(amplitude=-0.1)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         NoiseModel(amplitude=0.05, seed=-1)
+    for seed in (1.5, math.nan):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseModel(amplitude=0.01, seed=seed)
     NoiseModel(amplitude=0.0, seed=0)  # boundaries are legal
 
 

@@ -19,8 +19,6 @@ from eddyspec import (
     InductanceSpectrum,
     ParamBounds,
     PlateParams,
-    alpha1,
-    coil_grid,
     default_frequencies,
     delta_l_spectrum,
     impedance_to_inductance,
@@ -28,7 +26,9 @@ from eddyspec import (
 from eddyspec.forward import (
     DEFAULT_N_FREQS,
     a_factor,
+    alpha1,
     coil_constant,
+    coil_grid,
     phi,
     truncation_alpha_max,
 )

@@ -33,12 +33,11 @@ from eddyspec import (
     ParamBounds,
     PlateParams,
     add_noise,
-    coil_grid,
     default_frequencies,
     delta_l_spectrum,
     invert,
 )
-from eddyspec.forward import phi
+from eddyspec.forward import coil_grid, phi
 
 from test_forward import _assert_column_matches, _difference_jacobian
 
