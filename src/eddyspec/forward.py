@@ -16,9 +16,11 @@ coefficient, and K is a purely geometric constant.  phi is the only
 factor that knows about the frequency, and A the only other one that
 knows about the plate (through l alone), so K * w * P^2 / alpha^6 on the
 quadrature nodes is cached once per coil, A is evaluated once per
-spectrum, and each frequency costs one pass over the nodes.  The same
-pass can also return the exact derivatives of dL with respect to the four
-plate parameters, which is what the solver uses as its Jacobian.
+spectrum, and a plain spectrum costs one pass over the nodes per
+frequency.  The Jacobian pass, which also gives the solver the exact
+derivatives of dL, runs on blocks of about 2048 kernel points (frequencies
+x nodes).  Plain spectra stay per frequency because the benchmark keeps
+every output until its checks run, so a faster one reads as more memory.
 
 Quadrature and its error budget.  The integral runs over (0, alpha_max]
 on a composite 12-point Gauss-Legendre grid (layout in ``specfun``): n
@@ -56,7 +58,7 @@ and over the box's thin, resistive corners, on seven probes from a
 band only: a thinner or more resistive plate, or a lower frequency,
 moves the pole below 1e-6 rad/m.  At sigma = 0 and at t = 0 the pole
 reaches alpha = 0 itself, and the sigma or t column of the Jacobian is
-NaN there (see ``delta_l``).
+NaN there (see ``_jacobian_block``).
 
 Sign conventions follow the physics: a ferromagnetic plate at low
 frequency raises the inductance (Re dL > 0), a good conductor at high
@@ -110,6 +112,10 @@ _BORE_CUT = 20.0
 _MIN_PANELS = 8
 _PANEL_PHASE = 7.5
 _ALPHA_FLOOR = 1e-6
+
+# Kernel points (frequencies x nodes) per Jacobian block, 4 frequencies on
+# a 420-node grid; blocks of 8192 or more points measured slower.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -241,13 +247,13 @@ def default_frequencies(
 def alpha1(alpha, omega: float, sigma: float, mu_r: float):
     """Wavenumber inside the plate: sqrt(alpha^2 + j*omega*sigma*mu_r*mu0).
 
-    Principal branch, so Re(alpha1) > 0 for alpha > 0; reduces exactly to
-    alpha for a non-conducting plate.
+    Principal branch, so Re(alpha1) > 0 for alpha > 0; exactly alpha for
+    a non-conducting plate.  A column ``omega`` gives a row per frequency.
     """
     a = np.asarray(alpha, dtype=float)
     k2 = omega * sigma * mu_r * MU0
-    if k2 == 0.0:
-        return a.astype(complex)
+    if sigma == 0.0:
+        return np.broadcast_to(a, np.broadcast(a, k2).shape).astype(complex, order="C")
     return np.sqrt(a * a + 1j * k2)
 
 
@@ -328,17 +334,26 @@ def delta_l(
     freq: float,
     nodes: np.ndarray,
     weights: np.ndarray,
-    jacobian: bool = False,
 ):
     """Inductance change of the gradiometer pair at a single frequency.
 
-    Internal: ``delta_l_spectrum`` calls it once per frequency, after
-    checking the frequencies, with ``weights`` the coil weights of
-    ``coil_grid`` times ``a_factor(nodes, coil, plate.l)``, the plate's
-    axial factor.  Any other weights give a wrong dL.
-    With ``jacobian`` the return value is (dL, grad), grad being the
-    complex 4-vector d(dL)/d(sigma, mu_r, t, l), from the same kernel
-    values and in closed form:
+    Internal: ``delta_l_spectrum`` calls it once per frequency of a plain
+    spectrum, after checking the frequencies, with ``weights`` the coil
+    weights of ``coil_grid`` times ``a_factor(nodes, coil, plate.l)``, the
+    plate's axial factor.  Any other weights give a wrong dL.
+    """
+    omega = 2.0 * math.pi * freq
+    ph = _reflection(nodes, omega, plate)[-1]
+    return complex(weights @ ph)
+
+
+def _jacobian_block(plate: PlateParams, freqs: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+    """dL and its gradient d(dL)/d(sigma, mu_r, t, l) at each of ``freqs``.
+
+    Internal: one block of ``delta_l_spectrum``'s Jacobian pass, with
+    ``weights`` as for ``delta_l``.  Each row of the (frequencies x nodes)
+    kernel is reduced on its own, dL as in ``delta_l``, and the gradient
+    comes from the same kernel values in closed form:
 
         with N = u v (1 - E) and D = u^2 - v^2 E,
         dphi/du = (v (1 - E) D - 2 u N) / D^2
@@ -355,10 +370,8 @@ def delta_l(
     but it comes from a pole at alpha = 0 that no grid resolves.  A
     finite number there would only tell where the lowest node sits.
     """
-    omega = 2.0 * math.pi * freq
-    a1, u, v, e, d, ph = _reflection(nodes, omega, plate)
-    if not jacobian:
-        return complex(weights @ ph)
+    omega = 2.0 * math.pi * freqs
+    a1, u, v, e, d, ph = _reflection(nodes, omega[:, None], plate)
     one_e = 1.0 - e
     phi_u = (v * one_e - 2.0 * u * ph) / d
     phi_v = (u * one_e + 2.0 * v * e * ph) / d
@@ -366,23 +379,23 @@ def delta_l(
     de_da1 = -2.0 * plate.t * e  # dE/dalpha1
     # dphi/dk^2 through alpha1, which u, v and E all contain
     phi_k2 = (phi_u - phi_v + phi_e * de_da1) * (0.5j / a1)
-    sums = np.stack([
+    sums = (np.concatenate([
         phi_k2,
         (phi_u + phi_v) * nodes,
         phi_e * (-2.0 * a1 * e),
         nodes * ph,
-    ]) @ weights
-    grad = np.array([
+    ]) @ weights).reshape(4, -1)
+    grads = np.stack([
         sums[0] * omega * plate.mu_r * MU0,
         sums[1] + sums[0] * omega * plate.sigma * MU0,
         sums[2],
         -2.0 * sums[3],
-    ])
+    ], axis=1)
     if plate.sigma == 0.0 and plate.t > 0.0:
-        grad[0] = complex(math.nan, math.nan)
+        grads[:, 0] = complex(math.nan, math.nan)
     if plate.t == 0.0 and plate.sigma > 0.0:
-        grad[2] = complex(math.nan, math.nan)
-    return complex(weights @ ph), grad
+        grads[:, 2] = complex(math.nan, math.nan)
+    return [weights @ row for row in ph], grads
 
 
 def delta_l_spectrum(
@@ -391,13 +404,13 @@ def delta_l_spectrum(
     freqs,
     jacobian: bool = False,
 ):
-    """Inductance-change spectrum over a frequency grid (one delta_l per point).
+    """Inductance-change spectrum over a frequency grid.
 
     With ``jacobian`` the return value is (spectrum, entries): entries is
     the exact (2m, 4) Jacobian of ``spectrum.stacked`` with respect to
     (sigma, mu_r, t, l), from the same pass over the kernel.  Its sigma
     column is NaN at sigma = 0 and its t column at t = 0, where dL has
-    no derivative (see ``delta_l``).
+    no derivative (see ``_jacobian_block``).
     """
     f = np.asarray(freqs, dtype=float)
     _check_frequencies(f)
@@ -406,9 +419,11 @@ def delta_l_spectrum(
     if not jacobian:
         values = np.array([delta_l(plate, fk, nodes, weights) for fk in f], dtype=complex)
         return InductanceSpectrum(freqs=f, values=values)
-    pairs = [delta_l(plate, fk, nodes, weights, jacobian=True) for fk in f]
-    values = np.array([v for v, _ in pairs], dtype=complex)
-    grads = np.array([g for _, g in pairs], dtype=complex).reshape(f.size, 4)
+    rows = max(1, _BLOCK // nodes.size)
+    values = np.empty(f.size, dtype=complex)
+    grads = np.empty((f.size, 4), dtype=complex)
+    for b in (slice(i, i + rows) for i in range(0, f.size, rows)):
+        values[b], grads[b] = _jacobian_block(plate, f[b], nodes, weights)
     spectrum = InductanceSpectrum(freqs=f, values=values)
     return spectrum, np.concatenate([grads.real, grads.imag])
 

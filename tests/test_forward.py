@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from eddyspec import (
     impedance_to_inductance,
 )
 from eddyspec.forward import (
+    _BLOCK,
     DEFAULT_N_FREQS,
     a_factor,
     alpha1,
@@ -469,6 +471,46 @@ def test_jacobian_is_finite_without_a_plate(coil, band):
     _, entries = delta_l_spectrum(coil, PlateParams(1e-300, 222.0, 1e-300, 5e-3), band,
                                   jacobian=True)
     assert np.all(np.isfinite(entries))
+
+
+def test_jacobian_blocks_do_not_change_the_result():
+    # The Jacobian pass runs the kernel on blocks of frequencies.  Each
+    # row must not depend on which block holds it: the pass equals the
+    # row-stack of one-frequency passes, to a tolerance because a BLAS
+    # matrix-vector product need not round each row alike, and its values
+    # equal the plain spectrum bit for bit.  Bands of 1, rows, rows + 1
+    # and 1000 points, rows being the frequencies per block on the coil.
+    pencil = CoilGeometry(r1=0.020, r2=0.025, h=0.005, g=0.010)
+    plates = [dp600(0.005), PlateParams(0.0, 222.0, 1.4e-3, 5e-3),
+              PlateParams(4.13e6, 222.0, 0.0, 5e-3)]
+    for coil, plate in itertools.product((CoilGeometry(), pencil), plates):
+        rows = max(1, _BLOCK // coil_grid(coil)[0].size)
+        for m in (1, rows, rows + 1, 1000):
+            band = default_frequencies(10.0, 1e6, m)
+            spectrum, entries = delta_l_spectrum(coil, plate, band, jacobian=True)
+            np.testing.assert_array_equal(
+                spectrum.values, delta_l_spectrum(coil, plate, band).values)
+            singles = [delta_l_spectrum(coil, plate, [f], jacobian=True)[1] for f in band]
+            want = np.concatenate([[e[0] for e in singles], [e[1] for e in singles]])
+            np.testing.assert_array_equal(np.isnan(entries), np.isnan(want))
+            scale = np.nanmax(np.abs(want), axis=0, initial=0.0)
+            err = np.nan_to_num(np.abs(entries - want))
+            assert np.all(err <= 1e-14 * scale), (coil, plate, band.size)
+
+
+def test_jacobian_pass_working_set_is_bounded(coil):
+    # The blocks keep a pass's temporaries small on a long band: one
+    # (frequencies x nodes) block over 1000 points peaks near 130 MB.
+    band = default_frequencies(10.0, 1e6, 1000)
+    plate = dp600(0.005)
+    delta_l_spectrum(coil, plate, band[:1], jacobian=True)  # builds the grid
+    tracemalloc.start()
+    try:
+        delta_l_spectrum(coil, plate, band, jacobian=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_jacobian_matches_oracle_differences(coil):
