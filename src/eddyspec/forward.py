@@ -251,10 +251,7 @@ def alpha1(alpha, omega: float, sigma: float, mu_r: float):
     a non-conducting plate.  A column ``omega`` gives a row per frequency.
     """
     a = np.asarray(alpha, dtype=float)
-    k2 = omega * sigma * mu_r * MU0
-    if sigma == 0.0:
-        return np.broadcast_to(a, np.broadcast(a, k2).shape).astype(complex, order="C")
-    return np.sqrt(a * a + 1j * k2)
+    return np.sqrt(a * a + 1j * (omega * sigma * mu_r * MU0))
 
 
 def _reflection(a, omega: float, plate: PlateParams):

@@ -139,9 +139,6 @@ class ParamBounds:
         a = p.as_array()
         return bool(np.all(a >= self.lower()) and np.all(a <= self.upper()))
 
-    def clamp_array(self, p: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(p, self.lower()), self.upper())
-
 
 @dataclass(frozen=True)
 class InversionConfig:
@@ -163,29 +160,25 @@ class InversionConfig:
 class InversionResult:
     """Solver outcome plus the iteration trace.
 
-    ``iterations`` counts accepted steps.  ``residual_history`` holds the
-    misfit at the start and after every accepted step (strictly
-    decreasing by construction), ``param_history`` the iterates from the
-    initial guess on, and ``rank_masks`` the retained-column mask each
-    accepted step was taken with.  ``message`` says why the solver
-    stopped, whether or not it ``converged``.
+    ``residual_history`` holds the misfit at the start and after every
+    accepted step (strictly decreasing by construction), ``param_history``
+    the iterates from the initial guess on, and ``rank_masks`` the
+    retained-column mask each accepted step was taken with.
+    ``iterations``, the count of accepted steps, is derived: one per
+    entry of ``rank_masks``.  ``message`` says why the solver stopped,
+    whether or not it ``converged``.
     """
 
     params: PlateParams
     converged: bool
-    iterations: int
     residual_history: list
     rank_masks: list
     param_history: list
     message: str = ""
 
-
-def objective(observed: InductanceSpectrum, model: InductanceSpectrum) -> float:
-    """Half sum of squared stacked residuals between model and observation."""
-    if not np.array_equal(observed.freqs, model.freqs):
-        raise ValueError("observed and model spectra are on different frequency grids")
-    d = model.stacked - observed.stacked
-    return 0.5 * float(d @ d)
+    @property
+    def iterations(self) -> int:
+        return len(self.rank_masks)
 
 
 def _rank_mask(scaled):
@@ -213,12 +206,13 @@ def invert(
     """Recover plate parameters from an observed inductance spectrum.
 
     Never raises on poor data.  Non-finite observations, a spectrum that
-    is zero everywhere, rank degeneracy, fewer observations than free
-    parameters, every update direction blocked by the bounds box, a
-    stalled line search and running out of iterations all end with
-    ``converged=False`` and the reason in ``message``.  A near-singular
-    full system is not among them: it freezes the ridge, and the fit
-    may still converge on the identifiable combinations.
+    is zero everywhere or too large for a finite misfit, rank
+    degeneracy, fewer observations than free parameters, every update
+    direction blocked by the bounds box, a stalled line search and
+    running out of iterations all end with ``converged=False`` and the
+    reason in ``message``.  A near-singular full system is not among
+    them: it freezes the ridge, and the fit may still converge on the
+    identifiable combinations.
     """
     if cfg is None:
         cfg = InversionConfig()
@@ -226,12 +220,13 @@ def invert(
         raise ValueError("observed spectrum is empty")
 
     p = cfg.init
+    freqs = observed.freqs
     bad = ~np.isfinite(observed.values)
     refusal = None
     if np.any(bad):
         refusal = (
             f"observed spectrum has non-finite values at {int(bad.sum())} of "
-            f"{len(observed)} frequencies (first at {observed.freqs[bad][0]:g} Hz)"
+            f"{len(observed)} frequencies (first at {freqs[bad][0]:g} Hz)"
         )
     elif not np.any(observed.values):
         # A t = 0 plate, or none at all.  Every plate in the bounds box
@@ -241,41 +236,45 @@ def invert(
             f"observed spectrum is zero at all {len(observed)} frequencies: "
             "the data carry no plate signal"
         )
+    else:
+        obs = observed.stacked
+        model, entries = delta_l_spectrum(coil, p, freqs, jacobian=True)
+        r = model.stacked - obs
+        # Every accepted misfit is smaller than this one, so a finite
+        # start keeps the whole fit finite.
+        with np.errstate(over="ignore"):
+            misfit = 0.5 * float(r @ r)
+        if not math.isfinite(misfit):
+            refusal = "observed spectrum is too large for a finite misfit"
     if refusal is not None:
         return InversionResult(
             params=p,
             converged=False,
-            iterations=0,
             residual_history=[],
             rank_masks=[],
             param_history=[p],
             message=refusal,
         )
-    freqs = observed.freqs
     lo = cfg.bounds.lower()
     hi = cfg.bounds.upper()
-    model, entries = delta_l_spectrum(coil, p, freqs, jacobian=True)
-    misfit = objective(observed, model)
+    p_arr = p.as_array()
 
     residual_history = [misfit]
     rank_masks: list = []
     param_history = [p]
     converged = False
     message = "maximum iterations reached"
-    accepted = 0
 
     for _ in range(cfg.max_iter):
         # Columns scaled by their parameter's current value are in
         # comparable per-relative-change units; the mask and the SVD
         # both read them.
-        p_arr = p.as_array()
         scaled = entries * p_arr
         mask = _rank_mask(scaled)
         keep = np.asarray(mask, dtype=bool)
         if not keep.any():
             message = "all Jacobian columns vanish; nothing to invert"
             break
-        r = model.stacked - observed.stacked
         if r.size < keep.sum():
             message = (
                 f"underdetermined: {r.size} real observations for "
@@ -329,15 +328,16 @@ def invert(
             if log_step:
                 want = step * 0.5**k / p_arr
                 ratio = np.clip(want, np.log(lo / p_arr), np.log(hi / p_arr))
-                trial = cfg.bounds.clamp_array(p_arr * np.exp(ratio))
+                trial = np.clip(p_arr * np.exp(ratio), lo, hi)
                 clamped = np.any(ratio != want)
             else:
                 raw = p_arr + step * 0.5**k
-                trial = cfg.bounds.clamp_array(raw)
+                trial = np.clip(raw, lo, hi)
                 clamped = np.any(trial != raw)
             trial_p = PlateParams.from_array(trial)
             trial_model, trial_entries = delta_l_spectrum(coil, trial_p, freqs, jacobian=True)
-            trial_misfit = objective(observed, trial_model)
+            trial_r = trial_model.stacked - obs
+            trial_misfit = 0.5 * float(trial_r @ trial_r)
             if trial_misfit < misfit:
                 break
         else:
@@ -346,8 +346,7 @@ def invert(
 
         full_accept = k == 0 and not clamped
         prev_misfit, misfit = misfit, trial_misfit
-        p, model, entries = trial_p, trial_model, trial_entries
-        accepted += 1
+        p, p_arr, r, entries = trial_p, trial, trial_r, trial_entries
         residual_history.append(misfit)
         rank_masks.append(mask)
         param_history.append(p)
@@ -363,7 +362,6 @@ def invert(
     return InversionResult(
         params=p,
         converged=converged,
-        iterations=accepted,
         residual_history=residual_history,
         rank_masks=rank_masks,
         param_history=param_history,

@@ -203,6 +203,25 @@ def test_invert_zero_truth_is_a_usage_error(tmp_path, plate_cfg, capsys, key):
     assert not report_json.exists()
 
 
+def test_invert_spectrum_too_large_for_a_finite_misfit(tmp_path, capsys):
+    # Its squared residuals overflow: the report must say so in strict
+    # JSON, with no Infinity in the misfit history.
+    spec_csv = tmp_path / "big.csv"
+    spec_csv.write_text("freq_hz,re_dl_h,im_dl_h\n"
+                        + "".join(f"{f:g},1e160,1e160\n" for f in (1e2, 1e3, 1e4)))
+    report_json = tmp_path / "fit.json"
+    assert main(["invert", "--spectrum", str(spec_csv), "--out", str(report_json)]) == 2
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(report_json.read_text(), parse_constant=reject)
+    assert report["converged"] is False
+    assert report["residual"] == []
+    assert report["message"] == "observed spectrum is too large for a finite misfit"
+    assert "too large for a finite misfit" in capsys.readouterr().err
+
+
 def test_invert_iteration_cap_exit_code(tmp_path, plate_cfg, capsys):
     spec_csv = tmp_path / "dl.csv"
     assert main(["forward", "--plate", str(plate_cfg), "--out", str(spec_csv)]) == 0
@@ -392,14 +411,27 @@ def test_version_flag(capsys):
 # -------------------------------------------------------------------- report
 
 
-def test_report_benchmark_table(tmp_path, capsys):
+def test_report_benchmark_table(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.csv"
     import time
 
+    import eddyspec.cli as cli
+
+    real = cli.invert
+    fits = []
+
+    def counting(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "invert", counting)
     t0 = time.perf_counter()
     assert main(["report", "--out", str(out)]) == 0
     wall = time.perf_counter() - t0
     assert wall < 60.0
+    # Five noiseless round trips and 3 x 20 noisy refits: the noise
+    # block's 0% row reuses the DP600 round trip instead of refitting it.
+    assert len(fits) == 5 + 60
 
     lines = out.read_text().splitlines()
     assert lines[0].startswith("case,noise_pct,seed,")

@@ -125,9 +125,14 @@ def test_default_frequencies():
 
 
 def test_alpha1_zero_conductivity_is_alpha():
+    # The general formula, sqrt(alpha^2 + 0j), is exactly alpha: no
+    # special case for a non-conducting plate is needed.
     assert alpha1(3.7, 1e4, 0.0, 500.0) == 3.7 + 0j
-    a = np.array([1.0, 10.0, 100.0])
+    a = np.exp(np.random.default_rng(5).uniform(np.log(1e-7), np.log(1e5), 10_000))
     np.testing.assert_array_equal(alpha1(a, 1e4, 0.0, 500.0), a.astype(complex))
+    omegas = np.geomspace(2 * np.pi * 10.0, 2 * np.pi * 1e6, 7)[:, None]
+    np.testing.assert_array_equal(
+        alpha1(a, omegas, 0.0, 500.0), np.broadcast_to(a, (7, a.size)).astype(complex))
 
 
 def test_alpha1_principal_square_root_of_2j():
